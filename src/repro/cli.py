@@ -20,15 +20,16 @@ Commands
 ``sweep BENCH [BENCH ...]``
     Run a benchmarks x policies sweep through the job executor:
     ``--jobs N`` parallelises over processes with bit-identical results,
-    ``--checkpoint FILE`` makes the sweep resumable (completed jobs are
-    skipped on rerun), ``--emit-json``/``--csv`` export the results.
+    ``--store DIR`` makes the sweep resumable (jobs the store already
+    holds come back ``resumed`` on rerun), ``--emit-json``/``--csv``
+    export the results.
 ``trace BENCH``
     Record one run and render the decrypt-to-verify gap timeline as text.
 ``report FILE [FILE ...]``
     Render a run health report (job totals, per-cell outcomes, slowest
     jobs, cache savings, degradations) from any mix of sweep/figures/
-    run/chaos manifests and metrics snapshots, plus ``--journal`` for
-    per-job resource accounting.
+    run/chaos manifests and metrics snapshots; per-job resource
+    accounting comes from the sweep manifests' ``runs[].accounting``.
 ``attack NAME``
     Run one exploit against one policy and report leak/detection.
 ``store stats|verify|gc``
@@ -37,8 +38,8 @@ Commands
 ``worker``
     Run one work-stealing daemon against a shared ``--spool``
     directory: claim job units via exclusive leases, heartbeat them,
-    append results to this host's journal segment.  ``--stop`` asks
-    every worker on the spool to drain and exit.
+    publish results into the spool's shared artifact store.  ``--stop``
+    asks every worker on the spool to drain and exit.
 ``list``
     Show available benchmarks, policies and attacks.
 
@@ -49,9 +50,9 @@ traces, prepass columns and finished results through the persistent
 content-addressed artifact store (bare ``--store`` resolves
 ``$REPRO_STORE`` or ``~/.cache/repro/store``), and ``--spool DIR`` to
 execute through the multi-host work-stealing backend: the driver spools
-job units to DIR and merges results journaled by ``repro worker``
-daemons (falling back to in-process execution if no worker ever shows
-up).
+job units to DIR and settles the results ``repro worker`` daemons
+publish into a shared store (falling back to in-process execution if no
+worker ever shows up).
 """
 
 import argparse
@@ -310,12 +311,12 @@ def _failure_policy(args):
 
 
 def _cmd_sweep(args):
+    import os
     import time
 
     from repro.config import SimConfig
     from repro.exec import make_executor
     from repro.obs import PhaseProfiler, build_sweep_manifest, write_json
-    from repro.sim.checkpoint import JobJournal
     from repro.sim.report import failure_footer, render_table, series_rows
     from repro.sim.sweep import BASELINE, PolicySweep, normalized_ipc_table
 
@@ -325,36 +326,13 @@ def _cmd_sweep(args):
     policies = args.policy or list(_DEFAULT_POLICIES)
     scale = _scale(args)
     profiler = PhaseProfiler()
-    if args.compact and not args.checkpoint:
-        print("error: --compact requires --checkpoint", file=sys.stderr)
-        return 2
 
     sweep = PolicySweep(args.benchmark, policies, config=config,
                         num_instructions=scale["num_instructions"],
                         warmup=scale["warmup"], seed=args.seed)
 
-    journal = None
-    if args.checkpoint:
-        journal = JobJournal(args.checkpoint)
-        if journal.quarantined_lines:
-            print("journal: quarantined %d corrupt line(s) to %s"
-                  % (journal.quarantined_lines, journal.rej_path))
-        if journal.incompatible_lines:
-            print("journal: ignored %d line(s) from an incompatible "
-                  "journal version" % journal.incompatible_lines)
-        if args.compact:
-            keep = {job.job_id
-                    for job in sweep.jobs(not args.no_baseline)}
-            dropped = journal.compact(keep_ids=keep)
-            print("journal: compacted %s (%d stale line(s) dropped, %d "
-                  "record(s) kept)"
-                  % (args.checkpoint, dropped, len(journal)))
-        if len(journal):
-            print("resuming from %s: %d completed job(s) will be skipped"
-                  % (args.checkpoint, len(journal)))
-
     metrics = _metrics_registry(args)
-    _activate_store(args, metrics)
+    store = _activate_store(args, metrics)
     progress = None
     if args.progress:
         # A real TTY gets the single rewriting status line (done/total,
@@ -367,7 +345,7 @@ def _cmd_sweep(args):
         with _dist_executor(args) or make_executor(args.jobs) as executor:
             sweep.run(include_baseline=not args.no_baseline,
                       profiler=profiler, executor=executor,
-                      journal=journal, progress=progress,
+                      progress=progress,
                       failure_policy=_failure_policy(args),
                       metrics=metrics)
     finally:
@@ -402,7 +380,16 @@ def _cmd_sweep(args):
     backend = sweep.backend or {}
     retried = sum(1 for outcome in sweep.job_outcomes.values()
                   if outcome.attempts > 1)
+    resumed = sum(1 for outcome in sweep.job_outcomes.values()
+                  if outcome.status == "resumed")
     suffix = ", %d retried" % retried if retried else ""
+    if resumed:
+        suffix += ", %d resumed from the store" % resumed
+    if store is not None and store.counters["quarantined"]:
+        quarantined = store.counters["quarantined"]
+        print("artifact store: quarantined %d corrupt entr%s (see %s)"
+              % (quarantined, "y" if quarantined == 1 else "ies",
+                 os.path.join(store.root, "quarantine.rej")))
     print("%d jobs in %.2fs (backend=%s, workers=%s%s)"
           % (len(sweep.results), elapsed,
              backend.get("backend"), backend.get("jobs"), suffix))
@@ -669,13 +656,12 @@ def _cmd_report(args):
     from repro.errors import ReproError
     from repro.obs import build_report, render_report
 
-    if not args.artifact and not args.journal:
+    if not args.artifact:
         print("error: nothing to report on; pass at least one manifest/"
-              "snapshot file or --journal", file=sys.stderr)
+              "snapshot file", file=sys.stderr)
         return 2
     try:
-        report = build_report(args.artifact, journal=args.journal,
-                              top=args.top)
+        report = build_report(args.artifact, top=args.top)
     except ReproError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
@@ -835,7 +821,7 @@ def _cmd_worker(args):
     die_after = os.environ.get("REPRO_WORKER_DIE_AFTER")
     if die_after:
         # Chaos/CI hook: SIGKILL this worker right after its Nth
-        # journal append -- mid-unit by construction -- so host-death
+        # published result -- mid-unit by construction -- so host-death
         # recovery can be exercised from a plain shell script.
         import signal
 
@@ -926,9 +912,6 @@ def build_parser():
     p.add_argument("--hash-tree", action="store_true")
     p.add_argument("--no-baseline", action="store_true",
                    help="do not inject the decrypt-only baseline")
-    p.add_argument("--checkpoint", metavar="FILE",
-                   help="JSONL job journal; rerunning with the same "
-                        "file skips already-completed jobs")
     p.add_argument("--csv", metavar="FILE",
                    help="write one CSV row per (benchmark, policy) run")
     p.add_argument("--emit-json", metavar="FILE",
@@ -951,9 +934,6 @@ def build_parser():
                    help="terminal-failure policy: abort the sweep "
                         "(fail, default), skip the job and report it "
                         "(skip), or retry then skip (retry)")
-    p.add_argument("--compact", action="store_true",
-                   help="before running, rewrite --checkpoint keeping "
-                        "only records for this sweep's job grid")
     _add_store(p)
     _add_spool(p)
     _add_scale(p, default_n=6000)
@@ -1053,8 +1033,9 @@ def build_parser():
 
     p = sub.add_parser("chaos",
                        help="fault-injection harness: run a sweep under "
-                            "injected worker kills, hangs and journal "
-                            "corruption; verify bit-identical recovery")
+                            "injected worker kills, hangs and stored-"
+                            "result corruption; verify bit-identical "
+                            "recovery")
     p.add_argument("--benchmark", action="append", default=None,
                    choices=sorted(SPEC2000_PROFILES),
                    help="benchmark(s) to sweep (default: gzip)")
@@ -1065,8 +1046,8 @@ def build_parser():
     p.add_argument("--faults", metavar="CSV", default=None,
                    help="comma-separated fault kinds (default: all): "
                         "worker-kill, job-exception, hang, "
-                        "journal-truncate, journal-bitflip, "
-                        "pool-init-failure, journal-enospc")
+                        "result-truncate, result-bitflip, "
+                        "pool-init-failure, store-enospc")
     p.add_argument("--figures", metavar="CSV", default=None,
                    help="run the figures chaos smoke instead: "
                         "regenerate these artifacts (e.g. fig8) with a "
@@ -1075,7 +1056,7 @@ def build_parser():
     p.add_argument("--group", action="store_true",
                    help="run the grouped-pipeline campaign instead: "
                         "worker-kill a multi-policy group mid-"
-                        "evaluation and gate that journal resume "
+                        "evaluation and gate that store resume "
                         "re-runs only the unfinished policy "
                         "evaluations bit-identically")
     p.add_argument("--store", action="store_true",
@@ -1086,10 +1067,9 @@ def build_parser():
                         "results bit-identical")
     p.add_argument("--dist", action="store_true",
                    help="run the multi-host campaign instead: a worker "
-                        "daemon SIGKILLed mid-unit, two daemons "
-                        "appending one journal segment (then torn), "
-                        "and a vanished fleet must all heal to "
-                        "bit-identical results")
+                        "daemon SIGKILLed mid-unit and a vanished "
+                        "fleet must both heal to bit-identical "
+                        "results")
     p.add_argument("-j", "--jobs", type=int, default=2,
                    help="worker processes for the faulty phase "
                         "(default 2)")
@@ -1098,8 +1078,8 @@ def build_parser():
     p.add_argument("--timeout", type=float, default=0.75,
                    help="per-attempt timeout used to break the hang")
     p.add_argument("--workdir", metavar="DIR", default=None,
-                   help="keep journal/sidecar artifacts here instead "
-                        "of a temp dir")
+                   help="keep the campaign's stores and spools here "
+                        "instead of a temp dir")
     p.add_argument("--emit-json", metavar="FILE",
                    help="write the chaos report as JSON")
     _add_scale(p, default_n=1500)
@@ -1120,14 +1100,11 @@ def build_parser():
 
     p = sub.add_parser("report",
                        help="render a run health report from sweep/"
-                            "figures/run/chaos manifests, metrics "
-                            "snapshots and the job journal")
+                            "figures/run/chaos manifests and metrics "
+                            "snapshots")
     p.add_argument("artifact", nargs="*", metavar="FILE",
                    help="manifest / metrics-snapshot / chaos-report "
                         "JSON files (kinds are sniffed per file)")
-    p.add_argument("--journal", metavar="FILE",
-                   help="job journal (--checkpoint file) to mine for "
-                        "per-job wall/RSS/cache accounting")
     p.add_argument("--top", type=int, default=10, metavar="N",
                    help="rows in the slowest-jobs table (default 10)")
     p.add_argument("--json", action="store_true",
@@ -1189,13 +1166,13 @@ def build_parser():
     p = sub.add_parser("worker",
                        help="run one work-stealing daemon against a "
                             "shared --spool directory (claim units via "
-                            "leases, heartbeat, journal results)")
+                            "leases, heartbeat, publish results)")
     p.add_argument("--spool", metavar="DIR", required=True,
                    help="the shared spool directory drivers submit "
                         "job units to")
     p.add_argument("--host-id", metavar="NAME", default=None,
-                   help="name for this worker's journal segment and "
-                        "census entry (default: <hostname>-<pid>)")
+                   help="name for this worker's census entry "
+                        "(default: <hostname>-<pid>)")
     p.add_argument("--poll", type=float, default=0.25, metavar="SECS",
                    help="idle claim-loop poll interval (default 0.25)")
     p.add_argument("--lease-timeout", type=float, default=5.0,

@@ -3,11 +3,11 @@
 Every experiment in this repository is a Cartesian product of
 benchmark x policy x config.  This package gives that product one
 pipeline: describe each point as a frozen :class:`SimJob`, execute it
-with the pure :func:`execute_job`, and drive whole sets through an
-:class:`Executor` -- serial in-process or fanned out over a process
-pool -- with optional resume via a
-:class:`~repro.sim.checkpoint.JobJournal`.  See
-``docs/architecture.md`` ("The execution layer").
+with the pure :func:`simulate_job`, and drive whole sets through an
+:class:`Executor` -- serial in-process, fanned out over a process pool,
+or spooled to worker hosts -- resuming from the artifact store's result
+tier when one is active.  See ``docs/architecture.md`` ("The execution
+layer").
 """
 
 from repro.exec.cache import GLOBAL_CACHE, TraceCache, cached_trace
@@ -22,6 +22,7 @@ from repro.exec.executor import (
     iter_group_results,
     make_executor,
     set_attempt_hook,
+    simulate_job,
 )
 from repro.exec.job import (
     MultiPolicySimJob,
@@ -56,6 +57,7 @@ __all__ = [
     "build_job_groups",
     "stable_hash",
     "execute_job",
+    "simulate_job",
     "iter_group_results",
     "Executor",
     "SerialExecutor",

@@ -2,22 +2,22 @@
 
 The paper argues a secure processor must keep producing correct results
 while memory misbehaves; this module holds the sweep infrastructure to
-the same standard.  Instead of hoping the retry/journal machinery works,
+the same standard.  Instead of hoping the retry/resume machinery works,
 :func:`run_chaos` *injects* the failure modes -- killed workers, raised
-exceptions, artificial hangs, journal truncation and bit flips, plus the
-infrastructure faults (a pool initializer that dies, a journal append
-hitting ENOSPC) -- from a seeded schedule, then asserts the sweep still
-converges to results bit-identical to a fault-free serial run (cycles,
-IPC and the sha256 stats digest of every job).
+exceptions, artificial hangs, truncated and bit-flipped entries in the
+store's result tier (the record resume trusts), plus the infrastructure
+faults (a pool initializer that dies, a result publish hitting ENOSPC)
+-- from a seeded schedule, then asserts the sweep still converges to
+results bit-identical to a fault-free serial run (cycles, IPC and the
+sha256 stats digest of every job).
 :func:`run_figures_chaos` holds ``repro figures`` to the same standard:
 a worker kill mid-regeneration must still yield byte-identical text
 artifacts.  :func:`run_store_chaos` does the same for the persistent
 artifact store: truncated and bit-flipped entries plus a stale
 single-flight lock from a dead process must cost quarantine and one
 regeneration, never a wrong number.  :func:`run_dist_chaos` extends the
-standard across hosts: a worker daemon SIGKILLed mid-unit, a journal
-segment two daemons appended concurrently (then torn mid-record), and a
-fleet that vanishes entirely must all heal to results bit-identical to
+standard across hosts: a worker daemon SIGKILLed mid-unit and a fleet
+that vanishes entirely must both heal to results bit-identical to
 ``SerialExecutor`` -- with the victim's leased jobs re-run exactly once.
 
 Determinism is the point: a :class:`ChaosPlan` is a pure function of
@@ -30,9 +30,11 @@ sweep.
 """
 
 import dataclasses
+import errno
 import hashlib
 import json
 import os
+import shutil
 import signal
 import socket
 import time
@@ -49,12 +51,8 @@ from repro.exec.retry import (
     STATUS_RESUMED,
     FailurePolicy,
 )
-from repro.obs.events import (
-    BACKEND_DEGRADED,
-    JOB_FAILED,
-    JOB_RETRY,
-    JOURNAL_DEGRADED,
-)
+from repro.exec.store import ArtifactStore, atomic_write_text, using_store
+from repro.obs.events import BACKEND_DEGRADED, JOB_FAILED, JOB_RETRY
 from repro.util.rng import DeterministicRng
 
 
@@ -67,19 +65,20 @@ class InjectedFault(ReproError):
 FAULT_WORKER_KILL = "worker-kill"          # SIGKILL the worker process
 FAULT_JOB_EXCEPTION = "job-exception"      # raise InjectedFault
 FAULT_HANG = "hang"                        # sleep past the timeout
-FAULT_JOURNAL_TRUNCATE = "journal-truncate"  # tear the journal tail
-FAULT_JOURNAL_BITFLIP = "journal-bitflip"    # flip one stored digit
+FAULT_RESULT_TRUNCATE = "result-truncate"  # tear a stored result entry
+FAULT_RESULT_BITFLIP = "result-bitflip"    # flip one stored digit
 FAULT_POOL_INIT = "pool-init-failure"      # first pool's initializer dies
-FAULT_JOURNAL_ENOSPC = "journal-enospc"    # journal append raises ENOSPC
+FAULT_STORE_ENOSPC = "store-enospc"        # a result publish hits ENOSPC
 
 JOB_FAULTS = (FAULT_WORKER_KILL, FAULT_JOB_EXCEPTION, FAULT_HANG)
-JOURNAL_FAULTS = (FAULT_JOURNAL_TRUNCATE, FAULT_JOURNAL_BITFLIP)
+RESULT_FAULTS = (FAULT_RESULT_TRUNCATE, FAULT_RESULT_BITFLIP)
 #: Infrastructure faults: not tied to one job.  ``pool-init-failure``
 #: breaks the first worker pool while it is still being populated (the
-#: rebuild must heal it); ``journal-enospc`` makes a mid-sweep journal
-#: append raise ``OSError(ENOSPC)`` (the sweep must finish unjournaled).
-INFRA_FAULTS = (FAULT_POOL_INIT, FAULT_JOURNAL_ENOSPC)
-ALL_FAULTS = JOB_FAULTS + JOURNAL_FAULTS + INFRA_FAULTS
+#: rebuild must heal it); ``store-enospc`` makes one mid-sweep
+#: ``save_result`` hit ``OSError(ENOSPC)`` (the sweep must finish, and
+#: the rerun must re-simulate the job that was never recorded).
+INFRA_FAULTS = (FAULT_POOL_INIT, FAULT_STORE_ENOSPC)
+ALL_FAULTS = JOB_FAULTS + RESULT_FAULTS + INFRA_FAULTS
 
 
 class ChaosPlan:
@@ -92,11 +91,11 @@ class ChaosPlan:
     """
 
     def __init__(self, seed, job_faults, hang_seconds=2.0,
-                 journal_faults=(), infra_faults=()):
+                 result_faults=(), infra_faults=()):
         self.seed = seed
         self.job_faults = dict(job_faults)
         self.hang_seconds = hang_seconds
-        self.journal_faults = tuple(journal_faults)
+        self.result_faults = tuple(result_faults)
         self.infra_faults = tuple(infra_faults)
         self.init_sentinel = None
         self.driver_pid = os.getpid()
@@ -190,81 +189,71 @@ def build_plan(jobs, seed, faults=ALL_FAULTS, hang_seconds=2.0):
         if kind not in faults or not available:
             continue
         job_faults[available.pop(rng.randrange(len(available)))] = kind
-    journal_faults = tuple(k for k in JOURNAL_FAULTS if k in faults)
+    result_faults = tuple(k for k in RESULT_FAULTS if k in faults)
     infra_faults = tuple(k for k in INFRA_FAULTS if k in faults)
     return ChaosPlan(seed, job_faults, hang_seconds=hang_seconds,
-                     journal_faults=journal_faults,
+                     result_faults=result_faults,
                      infra_faults=infra_faults)
 
 
-def corrupt_journal(path, faults, seed):
-    """Apply the journal faults to ``path``; returns what was done.
+def corrupt_results(store_root, faults, seed):
+    """Apply the result faults to a store's result tier; returns notes.
 
-    ``journal-truncate`` replays a mid-write kill: the final record is
-    cut in half.  ``journal-bitflip`` replays silent media corruption:
-    one digit somewhere in a seed-chosen record gets its low bit
-    flipped -- the payload may stay syntactically valid JSON, which is
-    exactly the case only the CRC32 field can catch.
+    Each fault hits a different seed-chosen entry.  ``result-truncate``
+    replays a torn write: the entry is cut in half.  ``result-bitflip``
+    replays silent media corruption: one digit in the entry gets its
+    low bit flipped -- the payload may stay syntactically valid JSON,
+    which is exactly the case only the CRC32 field can catch.
     """
+    directory = os.path.join(os.fspath(store_root), "results")
+    try:
+        names = sorted(name for name in os.listdir(directory)
+                       if ".tmp" not in name)
+    except OSError:
+        return []
+    rng = DeterministicRng(seed).stream("chaos.results")
     applied = []
-    if not os.path.exists(path):
-        return applied
-    rng = DeterministicRng(seed).stream("chaos.journal")
-    if FAULT_JOURNAL_TRUNCATE in faults:
+    for kind in RESULT_FAULTS:
+        if kind not in faults or not names:
+            continue
+        name = names.pop(rng.randrange(len(names)))
+        path = os.path.join(directory, name)
         with open(path, "rb") as handle:
             data = handle.read()
-        stripped = data.rstrip(b"\n")
-        line_start = stripped.rfind(b"\n") + 1
-        line_len = len(stripped) - line_start
-        if line_len > 2:
-            cut = line_start + line_len // 2
-            with open(path, "wb") as handle:
-                handle.write(data[:cut])
-            applied.append("truncated final record to %d of %d bytes"
-                           % (line_len // 2, line_len))
-    if FAULT_JOURNAL_BITFLIP in faults:
-        with open(path) as handle:
-            lines = handle.read().splitlines()
-        if lines:
-            target = rng.randrange(len(lines))
-            line = lines[target]
-            digits = [i for i, ch in enumerate(line) if ch.isdigit()]
-            if digits:
-                at = digits[rng.randrange(len(digits))]
-                lines[target] = (line[:at] + chr(ord(line[at]) ^ 1)
-                                 + line[at + 1:])
-                with open(path, "w") as handle:
-                    handle.write("\n".join(lines) + "\n")
-                applied.append("flipped low bit of byte %d in record %d"
-                               % (at, target))
+        if kind == FAULT_RESULT_TRUNCATE:
+            data = data[:len(data) // 2]
+            applied.append("truncated result entry %s to %d bytes"
+                           % (name[:12], len(data)))
+        else:
+            digits = [i for i, byte in enumerate(data)
+                      if chr(byte).isdigit()]
+            at = digits[rng.randrange(len(digits))]
+            data = data[:at] + bytes([data[at] ^ 1]) + data[at + 1:]
+            applied.append("flipped low bit of byte %d in result entry %s"
+                           % (at, name[:12]))
+        with open(path, "wb") as handle:
+            handle.write(data)
     return applied
 
 
-def _enospc_journal(path, fail_at=2):
-    """A ``JobJournal`` whose ``fail_at``-th append raises ``ENOSPC``.
+class EnospcStore(ArtifactStore):
+    """An :class:`ArtifactStore` whose ``fail_at``-th result publish
+    raises ``ENOSPC`` -- a full disk mid-sweep.
 
-    Replays a full disk mid-sweep.  Only that one append raises: the
-    executor is expected to drop the journal on the first ``OSError``
-    (emitting ``JOURNAL_DEGRADED``) and finish the sweep from memory,
-    so a later append would be a bug, not a heal.
+    Only that one write fails: ``save_result`` counts it and the run
+    carries on from memory, so the job is simply not resumable.
     """
-    import errno
 
-    from repro.sim.checkpoint import JobJournal
+    def __init__(self, root, fail_at=2, **kwargs):
+        super().__init__(root, **kwargs)
+        self.fail_at = fail_at
+        self.writes = 0
 
-    class EnospcJournal(JobJournal):
-        def __init__(self, journal_path):
-            super().__init__(journal_path)
-            self._appends = 0
-
-        def record(self, job, result):
-            self._appends += 1
-            if self._appends == fail_at:
-                raise OSError(errno.ENOSPC,
-                              "injected: no space left on device")
-            return super().record(job, result)
-
-    return EnospcJournal(path)
+    def _write_text(self, path, text):
+        self.writes += 1
+        if self.writes == self.fail_at:
+            raise OSError(errno.ENOSPC, "injected: no space left on device")
+        atomic_write_text(path, text)
 
 
 def result_digest(result):
@@ -288,11 +277,12 @@ class ChaosReport:
     faults: tuple
     total_jobs: int
     injected: dict          # job_id -> fault kind
-    journal_corruption: list
+    cells: dict             # job_id -> (benchmark, policy)
+    result_corruption: list
     attempts: dict          # job_id -> attempts across both phases
     failures: list          # JobResult dicts for terminal failures
     mismatches: list        # job_ids whose digest diverged
-    quarantined_lines: int
+    quarantined_entries: int
     resumed_jobs: int
     reexecuted_jobs: int
     pool_rebuilds: int
@@ -301,9 +291,8 @@ class ChaosReport:
     failed_events: int
     degraded_events: int
     stats_digest: str       # sha256 over the per-job digests, in order
-    journal_path: str
-    rej_path: str
-    journal_degraded_events: int = 0
+    store_dir: str
+    store_write_errors: int = 0
 
     def as_dict(self):
         return dataclasses.asdict(self)
@@ -316,11 +305,11 @@ class ChaosReport:
                       for job_id, kind in sorted(self.injected.items(),
                                                  key=lambda kv: kv[1]))
             or "none"))
-        for note in self.journal_corruption:
-            lines.append("  journal: %s" % note)
+        for note in self.result_corruption:
+            lines.append("  store: %s" % note)
         retried = sum(1 for n in self.attempts.values() if n > 1)
-        lines.append("  %d job(s): %d retried, %d resumed from journal, "
-                     "%d re-executed after quarantine"
+        lines.append("  %d job(s): %d retried, %d resumed from the store, "
+                     "%d re-executed on the rerun"
                      % (self.total_jobs, retried, self.resumed_jobs,
                         self.reexecuted_jobs))
         lines.append("  pool rebuilds: %d%s; events: %d retry, %d "
@@ -329,13 +318,16 @@ class ChaosReport:
                         " (degraded to serial)" if self.degraded else "",
                         self.retry_events, self.failed_events,
                         self.degraded_events))
-        if self.journal_degraded_events:
-            lines.append("  journal degraded mid-sweep (%d event(s)): "
-                         "append failed, run finished unjournaled"
-                         % self.journal_degraded_events)
-        if self.quarantined_lines:
-            lines.append("  quarantined %d journal line(s) -> %s"
-                         % (self.quarantined_lines, self.rej_path))
+        if self.store_write_errors:
+            lines.append("  store publish failed mid-sweep (%d write "
+                         "error(s)): run finished, those jobs re-ran"
+                         % self.store_write_errors)
+        if self.quarantined_entries:
+            lines.append("  quarantined %d result entr%s -> %s"
+                         % (self.quarantined_entries,
+                            "y" if self.quarantined_entries == 1
+                            else "ies",
+                            os.path.join(self.store_dir, "quarantine")))
         if self.failures:
             lines.append("  TERMINAL FAILURES: %s" % self.failures)
         lines.append("  stats digest: %s" % self.stats_digest)
@@ -345,6 +337,13 @@ class ChaosReport:
             "DIVERGED from the fault-free serial run: %s"
             % (self.mismatches or "(missing results)")))
         return "\n".join(lines)
+
+
+def _fresh_dir(path):
+    """``path`` as an empty directory (a stale campaign's is removed)."""
+    shutil.rmtree(path, ignore_errors=True)
+    os.makedirs(path)
+    return path
 
 
 def run_chaos(benchmarks=("gzip",),
@@ -357,25 +356,26 @@ def run_chaos(benchmarks=("gzip",),
 
     Three phases:
 
-    1. *Reference*: the job grid runs clean and serial; per-job digests
-       are the ground truth.
-    2. *Fault phase*: the same grid runs against a journal with the
+    1. *Reference*: the job grid runs clean, serial and store-free;
+       per-job digests are the ground truth.
+    2. *Fault phase*: the same grid runs against a fresh store with the
        seeded job faults armed (pool workers get the plan via the pool
        initializer; the driver gets it for serial/degraded execution)
        under a retry-then-skip policy with a per-attempt timeout.
-    3. *Recovery phase*: the journal is corrupted per the schedule,
-       then the grid is re-run against it -- quarantined and lost
-       records must be re-simulated, everything else resumed.
+    3. *Recovery phase*: the store's result entries are corrupted per
+       the schedule, then the grid is re-run against it -- quarantined
+       and never-published results must be re-simulated, everything
+       else resumed.
 
     The campaign passes when phase 3's results are bit-identical to
     phase 1's for every job and nothing failed terminally.
     """
     from repro.obs import MemorySink, Tracer
-    from repro.sim.checkpoint import JobJournal
 
     jobs = build_jobs(list(benchmarks), list(policies),
                       num_instructions=num_instructions, warmup=warmup)
-    reference = SerialExecutor().run(jobs)
+    with using_store(None):
+        reference = SerialExecutor().run(jobs)
     ref_digests = {job.job_id: result_digest(reference[job])
                    for job in jobs}
 
@@ -384,10 +384,7 @@ def run_chaos(benchmarks=("gzip",),
 
         workdir = tempfile.mkdtemp(prefix="repro-chaos-")
     os.makedirs(workdir, exist_ok=True)
-    journal_path = os.path.join(workdir, "chaos.journal")
-    for stale in (journal_path, journal_path + ".rej"):
-        if os.path.exists(stale):
-            os.remove(stale)
+    store_dir = _fresh_dir(os.path.join(workdir, "store"))
 
     plan = build_plan(jobs, seed, faults, hang_seconds=hang_seconds)
     sentinel = os.path.join(workdir, "pool-init.sentinel")
@@ -405,10 +402,9 @@ def run_chaos(benchmarks=("gzip",),
     # Phase 2: run with faults armed.
     attempts = {}
     failures = []
-    if FAULT_JOURNAL_ENOSPC in plan.infra_faults:
-        phase2_journal = _enospc_journal(journal_path)
-    else:
-        phase2_journal = JobJournal(journal_path)
+    store = (EnospcStore(store_dir)
+             if FAULT_STORE_ENOSPC in plan.infra_faults
+             else ArtifactStore(store_dir))
     previous = set_attempt_hook(plan)
     try:
         if workers and workers > 1:
@@ -417,9 +413,8 @@ def run_chaos(benchmarks=("gzip",),
                 initargs=(plan,))
         else:
             executor = SerialExecutor()
-        with executor:
-            executor.run(jobs, journal=phase2_journal,
-                         tracer=own_tracer, failure_policy=policy)
+        with using_store(store), executor:
+            executor.run(jobs, tracer=own_tracer, failure_policy=policy)
             for job_id, outcome in executor.last_outcomes.items():
                 attempts[job_id] = outcome.attempts
                 if outcome.status == "failed":
@@ -429,13 +424,13 @@ def run_chaos(benchmarks=("gzip",),
     finally:
         set_attempt_hook(previous)
 
-    # Phase 3: corrupt the journal, then heal by resuming (no faults
+    # Phase 3: corrupt stored results, then heal by resuming (no faults
     # armed: the hook is restored, workers are fresh).
-    corruption = corrupt_journal(journal_path, plan.journal_faults, seed)
-    journal = JobJournal(journal_path)
+    corruption = corrupt_results(store_dir, plan.result_faults, seed)
+    heal_store = ArtifactStore(store_dir)
     healer = SerialExecutor()
-    final = healer.run(jobs, journal=journal, tracer=own_tracer,
-                       failure_policy=policy)
+    with using_store(heal_store):
+        final = healer.run(jobs, tracer=own_tracer, failure_policy=policy)
     resumed = reexecuted = 0
     for job_id, outcome in healer.last_outcomes.items():
         if outcome.status == STATUS_RESUMED:
@@ -466,11 +461,12 @@ def run_chaos(benchmarks=("gzip",),
         faults=tuple(faults),
         total_jobs=len(jobs),
         injected=dict(plan.job_faults),
-        journal_corruption=corruption,
+        cells={job.job_id: (job.benchmark, job.policy) for job in jobs},
+        result_corruption=corruption,
         attempts=attempts,
         failures=failures,
         mismatches=mismatches,
-        quarantined_lines=journal.quarantined_lines,
+        quarantined_entries=heal_store.counters["quarantined"],
         resumed_jobs=resumed,
         reexecuted_jobs=reexecuted,
         pool_rebuilds=pool_rebuilds,
@@ -480,10 +476,8 @@ def run_chaos(benchmarks=("gzip",),
         degraded_events=sum(1 for e in events
                             if e.kind == BACKEND_DEGRADED),
         stats_digest=stats_digest,
-        journal_path=journal_path,
-        rej_path=journal.rej_path,
-        journal_degraded_events=sum(1 for e in events
-                                    if e.kind == JOURNAL_DEGRADED),
+        store_dir=store_dir,
+        store_write_errors=store.counters["write_errors"],
     )
 
 
@@ -499,7 +493,7 @@ class GroupChaosReport:
     total_members: int
     pool_rebuilds: int      # worker-kill phase pool losses
     degraded: bool          # worker-kill phase fell back to serial
-    journaled_before_kill: int
+    published_before_kill: int
     resume_exact: bool      # resume re-ran ONLY the unfinished members
     resumed_members: int
     reexecuted_members: int
@@ -523,9 +517,9 @@ class GroupChaosReport:
                      % (self.pool_rebuilds,
                         " (degraded to serial)" if self.degraded
                         else ""))
-        lines.append("  mid-group kill: %d member(s) journaled before "
+        lines.append("  mid-group kill: %d member(s) stored before "
                      "the fault; resume re-ran %d, resumed %d -- %s"
-                     % (self.journaled_before_kill,
+                     % (self.published_before_kill,
                         self.reexecuted_members, self.resumed_members,
                         "exactly the unfinished members"
                         if self.resume_exact else
@@ -560,16 +554,15 @@ def run_group_chaos(benchmarks=("gzip", "mcf"),
        come back complete and bit-identical.
     2. *Mid-group kill*: the same grouped sweep runs serially under
        fail-fast with an exception armed against the same member; the
-       run aborts mid-group, leaving a journal holding exactly the
-       members that completed before the fault (incremental mid-group
-       journaling).
-    3. *Resume gate*: the grouped sweep re-runs against that torn
-       journal.  The gate: every journaled member resumes from disk,
-       **only** the unfinished evaluations re-run, and the merged
-       results are bit-identical to the reference.
+       run aborts mid-group, leaving a store holding exactly the
+       members that completed before the fault (members are published
+       incrementally).
+    3. *Resume gate*: the grouped sweep re-runs against that store.
+       The gate: every stored member resumes from disk, **only** the
+       unfinished evaluations re-run, and the merged results are
+       bit-identical to the reference.
     """
     from repro.exec.job import build_job_groups
-    from repro.sim.checkpoint import JobJournal
 
     benchmarks = list(benchmarks)
     policies = list(policies)
@@ -581,7 +574,8 @@ def run_group_chaos(benchmarks=("gzip", "mcf"),
     groups = build_job_groups(benchmarks, policies,
                               num_instructions=num_instructions,
                               warmup=warmup)
-    reference = SerialExecutor().run(jobs)
+    with using_store(None):
+        reference = SerialExecutor().run(jobs)
     ref_digests = {job.job_id: result_digest(reference[job])
                    for job in jobs}
 
@@ -602,9 +596,8 @@ def run_group_chaos(benchmarks=("gzip", "mcf"),
                                  max_attempts=max_attempts,
                                  timeout=timeout, backoff_base=0.01,
                                  backoff_max=0.05, jitter_seed=seed)
-    kill_journal = os.path.join(workdir, "group-kill.journal")
-    if os.path.exists(kill_journal):
-        os.remove(kill_journal)
+    kill_store = ArtifactStore(
+        _fresh_dir(os.path.join(workdir, "group-kill-store")))
     previous = set_attempt_hook(plan)
     try:
         if workers and workers > 1:
@@ -613,10 +606,8 @@ def run_group_chaos(benchmarks=("gzip", "mcf"),
                 initargs=(plan,))
         else:
             executor = SerialExecutor()
-        with executor:
-            killed = executor.run(groups,
-                                  journal=JobJournal(kill_journal),
-                                  failure_policy=retry_policy)
+        with using_store(kill_store), executor:
+            killed = executor.run(groups, failure_policy=retry_policy)
             pool_rebuilds = getattr(executor, "rebuilds", 0)
             degraded = getattr(executor, "degraded", False)
             failures.extend(outcome.as_dict() for outcome
@@ -629,29 +620,31 @@ def run_group_chaos(benchmarks=("gzip", "mcf"),
         if member not in killed
         or result_digest(killed[member]) != ref_digests[member.job_id]]
 
-    # Phase 2: abort mid-group under fail-fast, leaving a torn journal.
-    resume_journal = os.path.join(workdir, "group-resume.journal")
-    if os.path.exists(resume_journal):
-        os.remove(resume_journal)
+    # Phase 2: abort mid-group under fail-fast, leaving a partly
+    # filled store.
+    resume_store = ArtifactStore(
+        _fresh_dir(os.path.join(workdir, "group-resume-store")))
     plan2 = ChaosPlan(seed, {victim: FAULT_JOB_EXCEPTION})
     previous = set_attempt_hook(plan2)
     try:
-        SerialExecutor().run(groups, journal=JobJournal(resume_journal),
-                             failure_policy=FailurePolicy())
+        with using_store(resume_store):
+            SerialExecutor().run(groups, failure_policy=FailurePolicy())
         raise ReproError("mid-group fault never fired (victim %s "
                          "matched no member)" % victim)
     except InjectedFault:
         pass
     finally:
         set_attempt_hook(previous)
-    journaled = set(JobJournal(resume_journal).completed_ids)
+    published = {member.job_id for group in groups
+                 for member in group.member_jobs
+                 if os.path.exists(resume_store.result_path(member))}
     expected_prefix = {member.job_id for member
                        in groups[0].member_jobs[:victim_index]}
 
     # Phase 3: resume.  Only the unfinished members may re-run.
     healer = SerialExecutor()
-    final = healer.run(groups, journal=JobJournal(resume_journal),
-                       failure_policy=retry_policy)
+    with using_store(resume_store):
+        final = healer.run(groups, failure_policy=retry_policy)
     resumed = {job_id for job_id, outcome
                in healer.last_outcomes.items()
                if outcome.status == STATUS_RESUMED}
@@ -660,9 +653,9 @@ def run_group_chaos(benchmarks=("gzip", "mcf"),
                   if outcome.status != STATUS_RESUMED}
     failures.extend(outcome.as_dict() for outcome
                     in healer.failures.values())
-    resume_exact = (journaled == expected_prefix
-                    and resumed == journaled
-                    and reexecuted == set(ref_digests) - journaled)
+    resume_exact = (published == expected_prefix
+                    and resumed == published
+                    and reexecuted == set(ref_digests) - published)
 
     mismatches = []
     digests = []
@@ -689,7 +682,7 @@ def run_group_chaos(benchmarks=("gzip", "mcf"),
         total_members=len(jobs),
         pool_rebuilds=pool_rebuilds,
         degraded=degraded,
-        journaled_before_kill=len(journaled),
+        published_before_kill=len(published),
         resume_exact=resume_exact,
         resumed_members=len(resumed),
         reexecuted_members=len(reexecuted),
@@ -898,7 +891,6 @@ def run_store_chaos(benchmarks=("gzip", "mcf"),
     import multiprocessing
 
     from repro.exec.cache import TraceCache
-    from repro.exec.store import ArtifactStore, set_active_store
 
     benchmarks = list(benchmarks)
     policies = list(policies)
@@ -912,12 +904,9 @@ def run_store_chaos(benchmarks=("gzip", "mcf"),
     store_dir = os.path.join(workdir, "store")
 
     def run_jobs(store):
-        previous = set_active_store(store)
-        try:
-            executor = SerialExecutor(cache=TraceCache())
+        executor = SerialExecutor(cache=TraceCache())
+        with using_store(store):
             results = executor.run(jobs)
-        finally:
-            set_active_store(previous)
         return executor, results
 
     _, reference = run_jobs(None)
@@ -1007,15 +996,10 @@ class DistChaosReport:
     # host-death campaign
     host_losses: int        # hosts the driver declared dead
     lease_breaks: int       # expired leases released back to the spool
-    victim_records: int     # members the victim journaled before dying
-    exactly_once: bool      # every member executed once across segments
-    duplicates: list        # member job_ids executed more than once
+    victim_records: int     # members the victim published before dying
+    exactly_once: bool      # every member published once across hosts
+    duplicates: list        # member job_ids published more than once
     death_mismatches: list  # digest divergence in the host-death phase
-    # split-journal campaign
-    split_records: int      # intact records after the torn-tail resume
-    split_quarantined: int  # lines quarantined (must be the tear alone)
-    split_resumed: int      # members resumed, not re-simulated
-    split_mismatches: list
     # degrade-to-local campaign
     degraded_ok: bool       # empty fleet finished in-process, identical
     failures: list          # terminal JobResult dicts from any phase
@@ -1031,53 +1015,55 @@ class DistChaosReport:
                      "jobs) over a shared spool"
                      % (len(self.benchmarks), len(self.policies),
                         self.total_members))
-        lines.append("  host death: victim journaled %d member(s) then "
+        lines.append("  host death: victim published %d member(s) then "
                      "died; %d host loss(es), %d lease break(s), "
                      "re-run exactly once: %s"
                      % (self.victim_records, self.host_losses,
                         self.lease_breaks,
                         "yes" if self.exactly_once
                         else "NO %s" % self.duplicates))
-        lines.append("  split journal: %d intact record(s), %d "
-                     "quarantined, %d resumed without re-simulation"
-                     % (self.split_records, self.split_quarantined,
-                        self.split_resumed))
         lines.append("  degrade-to-local: %s"
                      % ("empty fleet finished in-process, bit-identical"
                         if self.degraded_ok else "FAILED"))
         if self.failures:
             lines.append("  TERMINAL FAILURES: %s" % self.failures)
         lines.append("  stats digest: %s" % self.stats_digest)
-        mismatches = self.death_mismatches + self.split_mismatches
         lines.append("verdict: %s" % (
             "bit-identical to the fault-free serial run across every "
             "campaign" if self.identical else
-            "FAILED: %s" % (mismatches or "(recovery gate)")))
+            "FAILED: %s" % (self.death_mismatches or "(recovery gate)")))
         return "\n".join(lines)
 
 
-def _dist_worker_main(spool, host_id, die_after=None, poll=0.05,
-                      lease_timeout=1.0):
+def _dist_worker_main(spool, host_id, publish_log, die_after=None,
+                      poll=0.05, lease_timeout=1.0):
     """Child-process entry for the dist campaigns' worker daemons.
 
-    ``die_after=N`` SIGKILLs the process right after its Nth journal
-    append -- mid-unit by construction when units are multi-member
-    groups -- which is exactly the host-death fault: the lease is left
-    behind with a heartbeat that will never refresh again.
+    Every member this worker publishes is appended to ``publish_log``
+    as ``<host_id> <job_id>`` (one ``O_APPEND`` write per line), which
+    is how the campaign counts executions across hosts.  ``die_after=N``
+    SIGKILLs the process right after its Nth publish -- mid-unit by
+    construction when units are multi-member groups -- which is exactly
+    the host-death fault: the lease is left behind with a heartbeat
+    that will never refresh again.
     """
     from repro.exec import dist
 
     state = {"records": 0}
 
     def on_record(member, result):
+        fd = os.open(publish_log, os.O_CREAT | os.O_WRONLY | os.O_APPEND,
+                     0o644)
+        try:
+            os.write(fd, ("%s %s\n" % (host_id, member.job_id)).encode())
+        finally:
+            os.close(fd)
         state["records"] += 1
         if die_after is not None and state["records"] >= die_after:
             os.kill(os.getpid(), signal.SIGKILL)
 
     dist.run_worker(spool, host_id=host_id, poll=poll,
-                    lease_timeout=lease_timeout,
-                    on_record=on_record if die_after is not None
-                    else None)
+                    lease_timeout=lease_timeout, on_record=on_record)
 
 
 def run_dist_chaos(benchmarks=("gzip", "mcf"),
@@ -1087,24 +1073,18 @@ def run_dist_chaos(benchmarks=("gzip", "mcf"),
                    lease_timeout=1.0, workdir=None):
     """Chaos campaign for the multi-host work-stealing backend.
 
-    A fault-free serial run establishes per-member digests, then three
-    campaigns over real worker processes and spool directories:
+    A fault-free serial run establishes per-member digests, then two
+    campaigns over real worker processes and spool directories, each
+    using the spool's own shared store:
 
-    1. *Host death*: a victim worker claims a group, journals exactly
+    1. *Host death*: a victim worker claims a group, publishes exactly
        one member and SIGKILLs itself; a survivor worker plus the
        driver must detect the expired lease (``HOST_LOST``), re-claim
        the unit, skip the member the victim already published, and
        finish the sweep.  Gate: bit-identical results, at least one
-       host loss, and every member executed *exactly once* across all
-       journal segments.
-    2. *Split journal*: two worker daemons share one ``--host-id`` so
-       their appends interleave in a single journal segment; after the
-       run the segment gets a torn partial record appended (the
-       mid-write kill).  Re-opening it as a ``JobJournal`` plus a
-       serial heal run must quarantine exactly the tear, resume every
-       member from the concurrently-written records, and stay
-       bit-identical after ``compact``.
-    3. *Degrade to local*: a driver over an empty spool with no workers
+       host loss, and every member published *exactly once* across
+       all hosts.
+    2. *Degrade to local*: a driver over an empty spool with no workers
        must degrade to in-process execution and still produce
        bit-identical results.
     """
@@ -1112,7 +1092,6 @@ def run_dist_chaos(benchmarks=("gzip", "mcf"),
 
     from repro.exec import dist
     from repro.exec.job import build_job_groups
-    from repro.sim.checkpoint import JobJournal
 
     benchmarks = list(benchmarks)
     policies = list(policies)
@@ -1129,7 +1108,8 @@ def run_dist_chaos(benchmarks=("gzip", "mcf"),
                               num_instructions=num_instructions,
                               warmup=warmup)
     member_ids = {job.job_id for job in jobs}
-    reference = SerialExecutor().run(jobs)
+    with using_store(None):
+        reference = SerialExecutor().run(jobs)
     ref_digests = {job.job_id: result_digest(reference[job])
                    for job in jobs}
 
@@ -1156,103 +1136,64 @@ def run_dist_chaos(benchmarks=("gzip", "mcf"),
                       != ref_digests[job.job_id])
 
     # ---- campaign 1: host death ---------------------------------------
-    spool_death = os.path.join(workdir, "spool-death")
+    spool_death = _fresh_dir(os.path.join(workdir, "spool-death"))
+    publish_log = os.path.join(workdir, "published.log")
+    if os.path.exists(publish_log):
+        os.remove(publish_log)
     dist.ensure_spool(spool_death)
     dist.spool_jobs(spool_death, groups)
-    victim = multiprocessing.Process(
-        target=_dist_worker_main, args=(spool_death, "victim"),
-        kwargs={"die_after": 1, "lease_timeout": lease_timeout})
-    victim.start()
-    reap(victim)   # it SIGKILLs itself after its first journal append
-    survivor = multiprocessing.Process(
-        target=_dist_worker_main, args=(spool_death, "survivor"),
-        kwargs={"lease_timeout": lease_timeout})
-    survivor.start()
-    driver = dist.DistExecutor(spool_death, poll=0.05,
-                               lease_timeout=lease_timeout,
-                               degrade_after=120.0)
-    try:
-        death_results = driver.run(groups, failure_policy=retry_policy)
-    finally:
-        dist.request_stop(spool_death)
-        reap(survivor)
+    with using_store(None):
+        victim = multiprocessing.Process(
+            target=_dist_worker_main,
+            args=(spool_death, "victim", publish_log),
+            kwargs={"die_after": 1, "lease_timeout": lease_timeout})
+        victim.start()
+        reap(victim)   # it SIGKILLs itself after its first publish
+        survivor = multiprocessing.Process(
+            target=_dist_worker_main,
+            args=(spool_death, "survivor", publish_log),
+            kwargs={"lease_timeout": lease_timeout})
+        survivor.start()
+        driver = dist.DistExecutor(spool_death, poll=0.05,
+                                   lease_timeout=lease_timeout,
+                                   degrade_after=120.0)
+        try:
+            death_results = driver.run(groups, failure_policy=retry_policy)
+        finally:
+            dist.request_stop(spool_death)
+            reap(survivor)
     failures.extend(outcome.as_dict()
                     for outcome in driver.failures.values())
     death_mismatches = mismatched(death_results)
     counts = {}
     victim_records = 0
-    journals_dir = os.path.join(spool_death, "journals")
-    for name in sorted(os.listdir(journals_dir)):
-        if not name.endswith(".journal"):
-            continue
-        records = dist.JournalTail(
-            os.path.join(journals_dir, name)).poll()
-        for record in records:
-            counts[record["job_id"]] = counts.get(record["job_id"], 0) + 1
-        if name == "victim.journal":
-            victim_records = len(records)
+    with open(publish_log) as handle:
+        for line in handle:
+            host_id, job_id = line.split()
+            counts[job_id] = counts.get(job_id, 0) + 1
+            victim_records += host_id == "victim"
     duplicates = sorted(job_id for job_id, n in counts.items() if n > 1)
     exactly_once = (set(counts) == member_ids and not duplicates)
 
-    # ---- campaign 2: split journal ------------------------------------
-    spool_split = os.path.join(workdir, "spool-split")
-    dist.ensure_spool(spool_split)
-    twins = [multiprocessing.Process(
-        target=_dist_worker_main, args=(spool_split, "shared"),
-        kwargs={"lease_timeout": lease_timeout}) for _ in range(2)]
-    for twin in twins:
-        twin.start()
-    driver2 = dist.DistExecutor(spool_split, poll=0.05,
-                                lease_timeout=lease_timeout,
-                                degrade_after=120.0)
-    try:
-        split_results = driver2.run(groups, failure_policy=retry_policy)
-    finally:
-        dist.request_stop(spool_split)
-        for twin in twins:
-            reap(twin)
-    failures.extend(outcome.as_dict()
-                    for outcome in driver2.failures.values())
-    split_mismatches = mismatched(split_results)
-    segment = dist.segment_path(spool_split, "shared")
-    with open(segment, "ab") as handle:
-        # A mid-write kill: valid prefix of a record, no newline.
-        handle.write(b'{"journal_version": 2, "job_id": "torn-wri')
-    journal = JobJournal(segment)   # workers are gone: safe to rewrite
-    split_quarantined = journal.quarantined_lines
-    journal.compact(keep_ids=member_ids)
-    healer = SerialExecutor()
-    healed = healer.run(jobs, journal=JobJournal(segment),
-                        failure_policy=retry_policy)
-    failures.extend(outcome.as_dict()
-                    for outcome in healer.failures.values())
-    split_resumed = sum(1 for outcome in healer.last_outcomes.values()
-                        if outcome.status == STATUS_RESUMED)
-    split_mismatches += [job_id for job_id in mismatched(healed)
-                         if job_id not in split_mismatches]
-    split_records = len(journal)
-
-    # ---- campaign 3: degrade to local ---------------------------------
-    spool_local = os.path.join(workdir, "spool-local")
-    driver3 = dist.DistExecutor(spool_local, poll=0.05,
+    # ---- campaign 2: degrade to local ---------------------------------
+    spool_local = _fresh_dir(os.path.join(workdir, "spool-local"))
+    driver2 = dist.DistExecutor(spool_local, poll=0.05,
                                 lease_timeout=lease_timeout,
                                 degrade_after=0.3)
-    local_results = driver3.run(groups, failure_policy=retry_policy)
+    with using_store(None):
+        local_results = driver2.run(groups, failure_policy=retry_policy)
     failures.extend(outcome.as_dict()
-                    for outcome in driver3.failures.values())
-    degraded_ok = driver3.degraded and not mismatched(local_results)
+                    for outcome in driver2.failures.values())
+    degraded_ok = driver2.degraded and not mismatched(local_results)
 
     digests = [ref_digests[job.job_id] for job in jobs]
     stats_digest = hashlib.sha256("".join(digests).encode()).hexdigest()
     return DistChaosReport(
         identical=(not death_mismatches
-                   and not split_mismatches
                    and not failures
                    and driver.host_losses >= 1
                    and victim_records >= 1
                    and exactly_once
-                   and split_quarantined == 1
-                   and split_resumed == len(jobs)
                    and degraded_ok),
         seed=seed,
         benchmarks=tuple(benchmarks),
@@ -1264,10 +1205,6 @@ def run_dist_chaos(benchmarks=("gzip", "mcf"),
         exactly_once=exactly_once,
         duplicates=duplicates,
         death_mismatches=death_mismatches,
-        split_records=split_records,
-        split_quarantined=split_quarantined,
-        split_resumed=split_resumed,
-        split_mismatches=split_mismatches,
         degraded_ok=degraded_ok,
         failures=failures,
         stats_digest=stats_digest,

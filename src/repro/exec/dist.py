@@ -6,40 +6,42 @@ shared filesystem (NFS, a bind mount, or plain ``/tmp`` for tests):
 
 - The **driver** (:class:`DistExecutor`) serializes pending
   :class:`~repro.exec.job.SimJob` / ``MultiPolicySimJob`` units into
-  ``<spool>/jobs/``, then polls the spool, merging results and
+  ``<spool>/jobs/``, then polls the spool, settling results and
   declaring dead hosts.
 - **Workers** (``repro worker --spool DIR --host-id NAME``, i.e.
   :func:`run_worker`) claim units with the store's single-flight
   ``O_CREAT|O_EXCL`` lease protocol, heartbeat the lease's mtime while
-  executing, and append each member result to their *own* per-host
-  CRC-sealed :class:`~repro.sim.checkpoint.JobJournal` v2 segment
-  (``<spool>/journals/<host_id>.journal``).
-- The driver tails every segment **read-only** (a live appender's file
-  must never be rewritten under it, so ``JobJournal``'s quarantine
-  pass is off-limits here -- see :class:`JournalTail`), rebuilds each
-  record into a live ``RunResult``, and re-journals it into its own
-  ``--checkpoint`` journal: the merge *is* the cross-host resume.
+  executing, and publish each member result with
+  :meth:`~repro.exec.store.ArtifactStore.save_result` into one shared
+  artifact store -- the same result tier every other backend resumes
+  from.  The driver names that store in ``<spool>/policy.json``: its
+  own active store, or ``<spool>/store`` when none is active.
+- The driver settles a member the moment its result appears in that
+  store.  A rerun against the same store resumes every published
+  member without spooling it again.
 
 Host loss is a first-class fault, not a hang: a worker that stops
 heartbeating past ``lease_timeout`` has its lease released back to the
-spool (any healthy worker re-claims the unit and skips the members the
-victim already journaled), the driver charges the unit one attempt
-under its :class:`~repro.exec.retry.FailurePolicy` exactly like a
-crashed pool worker, and emits a ``HOST_LOST`` event.  If every worker
-vanishes, the driver degrades to in-process execution rather than wait
-forever.  Because ``execute_job`` is a pure function of the job spec,
-every one of those paths is bit-identical to ``SerialExecutor`` --
-``repro chaos --dist`` gates exactly that.
+spool (any healthy worker re-claims the unit, looks each member up in
+the shared store and skips the ones the victim already published), the
+driver charges the unit one attempt under its
+:class:`~repro.exec.retry.FailurePolicy` exactly like a crashed pool
+worker, and emits a ``HOST_LOST`` event.  If every worker vanishes, the
+driver degrades to in-process execution rather than wait forever.
+Because ``simulate_job`` is a pure function of the job spec, every one
+of those paths is bit-identical to ``SerialExecutor`` -- ``repro chaos
+--dist`` gates exactly that.
 
 Spool layout::
 
     <spool>/jobs/<unit_id>.job        pickled unit (atomic write)
     <spool>/leases/<unit_id>.lease    claim file; mtime = heartbeat
-    <spool>/journals/<host>.journal   per-host JobJournal v2 segment
-    <spool>/hosts/<host>.json         worker census; mtime = heartbeat
+    <spool>/hosts/<host>.json         worker census (units and members
+                                      finished); mtime = heartbeat
     <spool>/errors/<unit_id>.err      worker-reported attempt failures
     <spool>/skip/<unit_id>.skip       driver verdict: stop claiming
-    <spool>/policy.json               driver's timeout for workers
+    <spool>/policy.json               driver's timeout and store root
+    <spool>/store/                    shared store (when none is active)
     <spool>/stop                      sentinel: workers drain and exit
 """
 
@@ -51,16 +53,10 @@ import threading
 import time
 
 from repro.errors import ReproError
-from repro.exec.executor import Executor, execute_job, iter_group_results
+from repro.exec.executor import Executor, iter_group_results, simulate_job
 from repro.exec.job import MultiPolicySimJob
 from repro.exec.retry import attempt_deadline
-from repro.sim.checkpoint import (
-    JobJournal,
-    atomic_write_text,
-    parse_record,
-    result_from_record,
-    tmp_suffix,
-)
+from repro.exec.store import ArtifactStore, atomic_write_text, tmp_suffix
 
 HOSTNAME = socket.gethostname()
 
@@ -69,7 +65,7 @@ HOSTNAME = socket.gethostname()
 #: not one slow poll.  Driver and workers must agree on the value.
 DEFAULT_LEASE_TIMEOUT = 5.0
 
-_SUBDIRS = ("jobs", "leases", "journals", "hosts", "errors", "skip")
+_SUBDIRS = ("jobs", "leases", "hosts", "errors", "skip")
 
 
 class HostLostError(ReproError):
@@ -111,9 +107,9 @@ def _skip_path(spool, unit_id):
     return os.path.join(spool, "skip", unit_id + ".skip")
 
 
-def segment_path(spool, host_id):
-    """The per-host journal segment ``host_id`` appends to."""
-    return os.path.join(spool, "journals", host_id + ".journal")
+def spool_store_root(spool):
+    """The shared store a spool uses when the driver has none active."""
+    return os.path.join(spool, "store")
 
 
 def stop_requested(spool):
@@ -238,87 +234,46 @@ class _Heartbeat(threading.Thread):
         self._halt.set()
 
 
-# ---- journal tailing --------------------------------------------------
-
-
-class JournalTail:
-    """Incremental read-only reader of one per-host journal segment.
-
-    Workers own their segment files -- they append live and their
-    ``JobJournal`` may rewrite on restart -- so the driver must never
-    open one as a :class:`JobJournal` (its quarantine pass atomically
-    rewrites the file, destroying a concurrent append).  This reader
-    only consumes complete newline-terminated lines past its offset,
-    validates each with the same CRC rules (:func:`parse_record`), and
-    counts invalid ones in ``bad_lines``; an unterminated tail (a write
-    in flight) is left for the next poll.
-    """
-
-    def __init__(self, path):
-        self.path = os.fspath(path)
-        self.offset = 0
-        self.bad_lines = 0
-
-    def poll(self):
-        """Validated records appended since the last poll."""
-        try:
-            size = os.path.getsize(self.path)
-        except OSError:
-            return []
-        if size <= self.offset:
-            return []
-        with open(self.path, "rb") as handle:
-            handle.seek(self.offset)
-            chunk = handle.read(size - self.offset)
-        end = chunk.rfind(b"\n")
-        if end < 0:
-            return []
-        self.offset += end + 1
-        records = []
-        for raw_line in chunk[:end + 1].splitlines():
-            raw = raw_line.decode(errors="replace").strip()
-            if not raw:
-                continue
-            record, _reason = parse_record(raw)
-            if record is None:
-                self.bad_lines += 1
-                continue
-            records.append(record)
-        return records
-
-
-def completed_job_ids(spool):
-    """Member job_ids journaled by *any* host (read-only segment scan).
-
-    What a claiming worker uses as its skip set, so a re-claimed group
-    only re-runs the members its previous owner never published.
-    """
-    done = set()
-    journals = os.path.join(spool, "journals")
-    try:
-        names = os.listdir(journals)
-    except OSError:
-        return done
-    for name in sorted(names):
-        if not name.endswith(".journal"):
-            continue
-        for record in JournalTail(os.path.join(journals, name)).poll():
-            done.add(record["job_id"])
-    return done
-
-
 # ---- worker side ------------------------------------------------------
 
 
-def _beat_host(spool, host_id, jobs_done, started):
-    """Rewrite this worker's census file; its mtime is the heartbeat."""
+def _beat_host(spool, host_id, jobs_done, members_done, started):
+    """Rewrite this worker's census file; its mtime is the heartbeat.
+
+    ``jobs_done`` counts finished units, ``members_done`` the member
+    results this worker published -- the per-host counts the driver's
+    metrics and ``repro report`` show.
+    """
     try:
         atomic_write_text(_host_path(spool, host_id), json.dumps(
             {"host_id": host_id, "host": HOSTNAME, "pid": os.getpid(),
-             "jobs_done": jobs_done, "started": started},
+             "jobs_done": jobs_done, "members_done": members_done,
+             "started": started},
             sort_keys=True))
     except OSError:
         pass
+
+
+def read_census(spool):
+    """``{host_id: (census dict, mtime)}`` for every worker on the spool."""
+    hosts = os.path.join(spool, "hosts")
+    try:
+        names = sorted(os.listdir(hosts))
+    except OSError:
+        return {}
+    census = {}
+    for name in names:
+        if not name.endswith(".json"):
+            continue
+        path = os.path.join(hosts, name)
+        try:
+            mtime = os.path.getmtime(path)
+            with open(path) as handle:
+                info = json.load(handle)
+        except (OSError, ValueError):
+            continue
+        census[name[:-len(".json")]] = (info, mtime)
+    return census
 
 
 def _report_error(spool, unit_id, host_id, exc):
@@ -346,70 +301,97 @@ def _read_spool_policy(spool):
         return {}
 
 
-def _write_spool_policy(spool, policy):
-    """Publish the driver's per-attempt timeout for workers to honour."""
+def _write_spool_policy(spool, policy, store_root):
+    """Publish the driver's per-attempt timeout and shared store root."""
     atomic_write_text(os.path.join(spool, "policy.json"), json.dumps(
         {"timeout": policy.timeout, "mode": policy.mode,
-         "max_attempts": policy.max_attempts}, sort_keys=True))
+         "max_attempts": policy.max_attempts, "store": store_root},
+        sort_keys=True))
 
 
-def _execute_unit(unit, journal, done_ids, timeout=None, on_record=None,
-                  heartbeat=None):
-    """Run one claimed unit, journaling each member; returns #published.
+def _shared_store(spool, policy, stores):
+    """The store ``policy.json`` names, cached in ``stores`` by root.
 
-    Members another host already journaled are skipped (the re-claimed
-    half-finished group case).  ``on_record(member, result)`` fires
-    after each append -- the chaos harness's die-mid-unit hook.  A
-    heartbeat that reports ``lost`` aborts publication: the lease was
-    broken, so the rest of the unit belongs to its next claimant.
+    Before a driver has written ``policy.json`` that is the spool's own
+    ``<spool>/store``.  A root the driver named must already exist: a
+    driver store that is not on the shared mount would otherwise be
+    created locally, and the driver would wait forever for results
+    published somewhere it cannot see.
     """
+    root = policy.get("store")
+    if root is None:
+        root = spool_store_root(spool)
+    elif not os.path.isdir(root):
+        raise ReproError("the driver's store %s is not visible on this "
+                         "host; put it on the shared mount" % root)
+    if root not in stores:
+        stores[root] = ArtifactStore(root)
+    return stores[root]
+
+
+def _execute_unit(unit, store, timeout=None, on_record=None,
+                  heartbeat=None):
+    """Run one claimed unit, publishing each member; returns #published.
+
+    Members already in ``store`` are skipped (the re-claimed
+    half-finished group case).  ``on_record(member, result)`` fires
+    after each publish -- the chaos harness's die-mid-unit hook.  A
+    heartbeat that reports ``lost`` aborts publication: the lease was
+    broken, so the rest of the unit belongs to its next claimant.  A
+    publish the store could not write raises, so the driver charges
+    the unit an attempt instead of waiting for a result that never
+    lands.
+    """
+    members = (unit.member_jobs if isinstance(unit, MultiPolicySimJob)
+               else [unit])
+    published = {member.job_id for member in members
+                 if store.load_result(member) is not None}
     count = 0
-
-    def publish(member, result):
-        nonlocal count
-        journal.record(member, result)
-        count += 1
-        if on_record is not None:
-            on_record(member, result)
-
-    if isinstance(unit, MultiPolicySimJob):
-        skip = done_ids & {m.job_id for m in unit.member_jobs}
-        with attempt_deadline(timeout):
-            for member, result in iter_group_results(unit, skip=skip):
-                if heartbeat is not None and heartbeat.lost:
-                    break
-                publish(member, result)
-    elif unit.job_id not in done_ids:
-        with attempt_deadline(timeout):
-            result = execute_job(unit)
-        publish(unit, result)
+    with attempt_deadline(timeout):
+        if isinstance(unit, MultiPolicySimJob):
+            pairs = iter_group_results(unit, skip=published)
+        elif unit.job_id in published:
+            pairs = []
+        else:
+            pairs = [(unit, simulate_job(unit))]
+        for member, result in pairs:
+            if heartbeat is not None and heartbeat.lost:
+                break
+            if not store.save_result(member, result):
+                raise OSError("could not publish %s to the store at %s"
+                              % (member.job_id, store.root))
+            count += 1
+            if on_record is not None:
+                on_record(member, result)
     return count
 
 
 def run_worker(spool, host_id=None, poll=0.25,
                lease_timeout=DEFAULT_LEASE_TIMEOUT, idle_exit=None,
                max_units=None, on_record=None, log=None):
-    """One worker daemon: claim, execute, journal, repeat until stopped.
+    """One worker daemon: claim, execute, publish, repeat until stopped.
 
     Exits when the spool's stop sentinel appears and nothing is
     claimable (drain semantics), after ``idle_exit`` seconds with
     nothing claimable, or after ``max_units`` executed units.  Returns
     ``{"host_id", "units", "members", "errors"}``.
 
-    ``host_id`` names this worker's journal segment; it defaults to
-    ``<hostname>-<pid>``.  Two daemons *may* share a host_id -- the
-    journal's single-write O_APPEND records interleave at line
-    granularity -- but each then resumes the other's restarts, so
-    distinct ids per daemon are the norm.
+    ``host_id`` names this worker's census file; it defaults to
+    ``<hostname>-<pid>``.  Results go to the store ``policy.json``
+    names (``<spool>/store`` before a driver has written one).
     """
     spool = ensure_spool(spool)
     host_id = host_id or "%s-%d" % (HOSTNAME, os.getpid())
     started = time.time()
-    journal = JobJournal(segment_path(spool, host_id))
+    stores = {}     # store root -> ArtifactStore
     units = members = errors = 0
     cooldown = {}   # unit_id -> monotonic time to leave it for others
     idle_since = time.monotonic()
-    _beat_host(spool, host_id, units, started)
+
+    def beat():
+        _beat_host(spool, host_id, units, members, started)
+
+    beat()
     if log is not None:
         log("worker %s: joined spool %s" % (host_id, spool))
     while True:
@@ -443,11 +425,9 @@ def run_worker(spool, host_id=None, poll=0.25,
                 continue
             claimed = True
             idle_since = time.monotonic()
-            timeout = _read_spool_policy(spool).get("timeout")
+            policy = _read_spool_policy(spool)
             heartbeat = _Heartbeat(
-                lease, max(lease_timeout / 4.0, 0.05),
-                beat_host=lambda: _beat_host(spool, host_id, units,
-                                             started))
+                lease, max(lease_timeout / 4.0, 0.05), beat_host=beat)
             heartbeat.start()
             try:
                 try:
@@ -460,9 +440,9 @@ def run_worker(spool, host_id=None, poll=0.25,
                     continue
                 try:
                     members += _execute_unit(
-                        unit, journal, completed_job_ids(spool),
-                        timeout=timeout, on_record=on_record,
-                        heartbeat=heartbeat)
+                        unit, _shared_store(spool, policy, stores),
+                        timeout=policy.get("timeout"),
+                        on_record=on_record, heartbeat=heartbeat)
                 except Exception as exc:
                     _report_error(spool, unit_id, host_id, exc)
                     errors += 1
@@ -491,17 +471,17 @@ def run_worker(spool, host_id=None, poll=0.25,
                 heartbeat.join(timeout=2.0)
                 if not heartbeat.lost:
                     release_lease(lease)
-            _beat_host(spool, host_id, units, started)
-            break   # rescan from the top: fresh skip set and stop check
+            beat()
+            break   # rescan from the top: fresh stop check
         if not claimed:
             if stop_requested(spool):
                 break
             if idle_exit is not None \
                     and time.monotonic() - idle_since >= idle_exit:
                 break
-            _beat_host(spool, host_id, units, started)
+            beat()
             time.sleep(poll)
-    _beat_host(spool, host_id, units, started)
+    beat()
     return {"host_id": host_id, "units": units, "members": members,
             "errors": errors}
 
@@ -512,11 +492,13 @@ def run_worker(spool, host_id=None, poll=0.25,
 class DistExecutor(Executor):
     """Shared-spool work-stealing driver (see the module docstring).
 
-    Subclasses :class:`Executor`, so journal resume, failure policies,
+    Subclasses :class:`Executor`, so store resume, failure policies,
     metrics, progress and outcome accounting all behave exactly as the
     single-host backends -- only ``_execute`` differs: instead of
-    running jobs it spools them, merges per-host journal segments, and
-    adjudicates host death.
+    running jobs it spools them, settles members as workers publish
+    them to the shared store, and adjudicates host death.  A partly
+    resumed group is spooled whole (``trim_groups`` is off): the unit
+    keeps its id, and workers skip the published members themselves.
 
     ``lease_timeout`` declares a host dead (must match the workers');
     ``host_timeout`` bounds census freshness; after ``degrade_after``
@@ -527,6 +509,7 @@ class DistExecutor(Executor):
 
     backend = "dist"
     jobs = 1
+    trim_groups = False
 
     def __init__(self, spool, host_id=None, poll=0.2,
                  lease_timeout=DEFAULT_LEASE_TIMEOUT, host_timeout=None,
@@ -545,6 +528,20 @@ class DistExecutor(Executor):
         self.lease_breaks = 0
         self.degraded = False
         self.hosts_seen = set()
+        self._spool_store = None
+        self._units_seen = {}   # host_id -> census jobs_done counted
+
+    def result_store(self):
+        """The active store, else the spool's own ``<spool>/store``."""
+        from repro.exec.store import active_store
+
+        store = active_store()
+        if store is None:
+            if self._spool_store is None:
+                self._spool_store = ArtifactStore(
+                    spool_store_root(self.spool))
+            store = self._spool_store
+        return store
 
     def describe(self):
         info = {"backend": self.backend, "jobs": self.jobs,
@@ -555,14 +552,15 @@ class DistExecutor(Executor):
             info["degraded"] = True
         return info
 
-    # -- the merge loop -------------------------------------------------
+    # -- the settle loop ------------------------------------------------
 
     def _execute(self, pending, results, state):
         clear_stop(self.spool)
-        _write_spool_policy(self.spool, state.policy)
+        _write_spool_policy(self.spool, state.policy, state.store.root)
         units = {}        # unit_id -> unit
         members = {}      # member job_id -> (unit_id, member SimJob)
         outstanding = {}  # unit_id -> set of unsettled member job_ids
+        entries = {}      # member job_id -> its result-entry path
         for unit in pending:
             units[unit.job_id] = unit
             member_jobs = (unit.member_jobs
@@ -570,7 +568,10 @@ class DistExecutor(Executor):
                            else (unit,))
             ids = set()
             for member in member_jobs:
+                if member.job_id in state.outcomes:
+                    continue   # resumed from the store before spooling
                 members[member.job_id] = (unit.job_id, member)
+                entries[member.job_id] = state.store.result_path(member)
                 ids.add(member.job_id)
             outstanding[unit.job_id] = ids
         for unit_id in units:
@@ -586,13 +587,16 @@ class DistExecutor(Executor):
         state.jm.spooled.set(len(outstanding))
         attempts = {}       # unit_id -> failed attempts charged so far
         error_lines = {}    # unit_id -> error-file lines consumed
-        tails = {}          # segment path -> JournalTail
         spooled_at = {unit_id: time.perf_counter() for unit_id in units}
+        self._units_seen = {host_id: info.get("jobs_done", 0)
+                            for host_id, (info, _) in
+                            read_census(self.spool).items()}
         last_alive = time.monotonic()
         while outstanding:
-            progressed = self._merge_segments(tails, members, outstanding,
-                                              results, state, attempts,
-                                              spooled_at)
+            progressed = self._settle_published(entries, members,
+                                                outstanding, results,
+                                                state, attempts,
+                                                spooled_at)
             if self._consume_errors(error_lines, units, members,
                                     outstanding, state, attempts,
                                     spooled_at):
@@ -625,40 +629,29 @@ class DistExecutor(Executor):
         if not ids:
             del outstanding[unit_id]
 
-    def _merge_segments(self, tails, members, outstanding, results,
-                        state, attempts, spooled_at):
-        """Pull fresh records from every per-host segment into results."""
-        journals = os.path.join(self.spool, "journals")
-        try:
-            names = sorted(os.listdir(journals))
-        except OSError:
-            names = []
+    def _settle_published(self, entries, members, outstanding, results,
+                          state, attempts, spooled_at):
+        """Settle every outstanding member whose result is now stored."""
         progressed = False
-        for name in names:
-            if not name.endswith(".journal"):
+        for member_id, path in list(entries.items()):
+            unit_id, member = members[member_id]
+            if member_id not in outstanding.get(unit_id, ()):
+                del entries[member_id]   # failed or finished locally
                 continue
-            path = os.path.join(journals, name)
-            if path not in tails:
-                tails[path] = JournalTail(path)
-            host_id = name[:-len(".journal")]
-            for record in tails[path].poll():
-                entry = members.get(record["job_id"])
-                if entry is None:
-                    continue  # another run's record sharing the spool
-                unit_id, member = entry
-                if record["job_id"] not in outstanding.get(unit_id, ()):
-                    continue  # settled already (duplicates are benign:
-                              # re-runs are bit-identical by construction)
-                result = result_from_record(record)
-                results[member] = result
-                self._settle(outstanding, unit_id, member.job_id)
-                self.hosts_seen.add(host_id)
-                state.jm.dist_jobs.labels(host_id).inc()
-                state.complete(
-                    member, result,
-                    attempts=attempts.get(unit_id, 0) + 1,
-                    wall=time.perf_counter() - spooled_at[unit_id])
-                progressed = True
+            if not os.path.exists(path):
+                continue
+            result = state.store.load_result(member)
+            if result is None:
+                continue   # torn or corrupt: quarantined, still owed
+            del entries[member_id]
+            results[member] = result
+            self._settle(outstanding, unit_id, member_id)
+            state.complete(
+                member, result,
+                attempts=attempts.get(unit_id, 0) + 1,
+                wall=time.perf_counter() - spooled_at[unit_id],
+                publish=False)
+            progressed = True
         return progressed
 
     def _consume_errors(self, error_lines, units, members, outstanding,
@@ -752,25 +745,23 @@ class DistExecutor(Executor):
         outstanding.pop(unit_id, None)
 
     def _census(self, state):
-        """Hosts with a fresh census heartbeat; updates the gauge."""
-        hosts = os.path.join(self.spool, "hosts")
-        try:
-            names = os.listdir(hosts)
-        except OSError:
-            names = []
+        """Hosts with a fresh census heartbeat; updates the host metrics.
+
+        Per-host counts come from the census files' ``jobs_done``:
+        units a host finished since this run started (a restarted
+        worker's count starts over from zero).
+        """
         live = []
         now = time.time()
-        for name in sorted(names):
-            if not name.endswith(".json"):
-                continue
-            host_id = name[:-len(".json")]
+        for host_id, (info, mtime) in read_census(self.spool).items():
             self.hosts_seen.add(host_id)
-            try:
-                mtime = os.path.getmtime(os.path.join(hosts, name))
-            except OSError:
-                continue
             if now - mtime <= self.host_timeout:
                 live.append(host_id)
+            done = info.get("jobs_done", 0)
+            seen = self._units_seen.get(host_id, 0)
+            if done > seen:
+                state.jm.dist_jobs.labels(host_id).inc(done - seen)
+            self._units_seen[host_id] = done
         state.jm.dist_hosts.set(len(live))
         return live
 
@@ -781,7 +772,7 @@ class DistExecutor(Executor):
         Claims each remaining unit exactly like a worker would (so a
         late-returning host cannot double-run it), trims groups to
         their unsettled members, and reuses the in-process primitives
-        -- results and journaling flow through ``state.complete`` like
+        -- results flow through the store and ``state.complete`` like
         any other completion.
         """
         if not self.degraded:

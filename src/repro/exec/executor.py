@@ -13,11 +13,18 @@ Grouped jobs: a :class:`~repro.exec.job.MultiPolicySimJob` routes
 through :func:`iter_group_results` instead -- one cached trace and one
 structural prepass (:mod:`repro.cpu.prepass`) fanned out to N
 shared-kernel policy evaluations inside a single worker.  Each member
-evaluation is journaled as the plain :class:`~repro.exec.job.SimJob` it
+evaluation is recorded as the plain :class:`~repro.exec.job.SimJob` it
 replaces, under the identical job_id, so resume/retry/chaos/telemetry
 see exactly the per-job stream they always did; the serial backend
-journals members incrementally, so a kill mid-group re-runs only the
+publishes members incrementally, so a kill mid-group re-runs only the
 unfinished evaluations.
+
+Resume: the artifact store's result tier (:mod:`repro.exec.store`) is
+the one durable record of finished work.  :meth:`Executor.run` asks the
+store once per job before anything executes; jobs it holds come back
+``STATUS_RESUMED`` and never reach a pool worker or the spool, and
+fresh completions are published back, so rerunning a killed sweep
+against the same store re-runs only what never finished.
 
 Fault tolerance: both backends drive every job through the
 :class:`~repro.exec.retry.FailurePolicy` handed to :meth:`Executor.run`
@@ -28,16 +35,17 @@ The parallel backend additionally survives killed workers: a broken
 pool is torn down and rebuilt with every incomplete job resubmitted,
 and after ``max_rebuilds`` consecutive pool losses the remaining jobs
 degrade to in-process serial execution instead of aborting the sweep.
-Because ``execute_job`` is pure, none of this perturbs results.
+Because ``simulate_job`` is pure, none of this perturbs results.
 
 Observability: each completed job emits a ``JOB_DONE`` event on the
 ``jobs`` lane of the supplied tracer and credits the profiler; retries,
 terminal failures and backend degradation emit ``JOB_RETRY``,
-``JOB_FAILED`` and ``BACKEND_DEGRADED`` on the same lane; a journal
-append that dies (ENOSPC) emits ``JOURNAL_DEGRADED`` and the run
-continues without the journal rather than aborting.  The parallel
-backend cannot thread a tracer into workers (sinks do not cross
-processes), so per-run events are only recorded by the serial backend.
+``JOB_FAILED`` and ``BACKEND_DEGRADED`` on the same lane; a store
+publish that dies (ENOSPC) is counted in
+``repro_store_write_errors_total`` and the run continues rather than
+aborting.  The parallel backend cannot thread a tracer into workers
+(sinks do not cross processes), so per-run events are only recorded by
+the serial backend.
 """
 
 import os
@@ -63,7 +71,6 @@ from repro.obs.events import (
     JOB_DONE,
     JOB_FAILED,
     JOB_RETRY,
-    JOURNAL_DEGRADED,
     LANE_JOBS,
 )
 from repro.obs.metrics import JobMetrics
@@ -117,28 +124,17 @@ def _store_hit_accounting(started):
 
 
 def execute_job(job, tracer=None, profiler=None, cache=None, store=None):
-    """Run one job and return its RunResult (with ``.metrics`` attached).
-
-    Pure with respect to ``job``: every call builds a private simulator,
-    so results do not depend on execution order or backend.
+    """Run one job and return its RunResult, store-backed.
 
     ``store`` (default: the process-wide
     :func:`~repro.exec.store.active_store`) short-circuits the whole
     call when it holds a completed result for this ``job_id`` under the
-    current code fingerprint -- the rebuild goes through the same
-    record shape journal resume uses, so a warm result is bit-identical
-    to a simulated one.  Fresh completions are published back.
-
-    Resource accounting rides along on ``result.accounting`` -- wall
-    and tracegen seconds, whether the trace came from cache, whether
-    the result was a store hit, and the process's peak RSS.  It is
-    measured here, inside the worker for the pool backend, because the
-    accounting has to cross the pickle boundary with the result; it
-    never touches simulated state.
+    current code fingerprint -- a warm result is bit-identical to a
+    simulated one.  Fresh completions are published back.  This is the
+    one-off entry point; the executors look each job up once in their
+    resume pre-pass and then call :func:`simulate_job` directly.
     """
     from repro.exec.store import active_store
-    from repro.sim.metrics import collect_metrics
-    from repro.sim.runner import build_simulator
 
     started = time.perf_counter()
     store = store if store is not None else active_store()
@@ -147,6 +143,30 @@ def execute_job(job, tracer=None, profiler=None, cache=None, store=None):
         if result is not None:
             result.accounting = _store_hit_accounting(started)
             return result
+    result = simulate_job(job, tracer=tracer, profiler=profiler,
+                          cache=cache)
+    if store is not None:
+        store.save_result(job, result)
+    return result
+
+
+def simulate_job(job, tracer=None, profiler=None, cache=None):
+    """Simulate one job; returns its RunResult (with ``.metrics``).
+
+    Pure with respect to ``job``: every call builds a private simulator,
+    so results do not depend on execution order or backend.
+
+    Resource accounting rides along on ``result.accounting`` -- wall
+    and tracegen seconds, whether the trace came from cache, whether
+    the result was a store hit, and the process's peak RSS.  It is
+    measured here, inside the worker for the pool backend, because the
+    accounting has to cross the pickle boundary with the result; it
+    never touches simulated state.
+    """
+    from repro.sim.metrics import collect_metrics
+    from repro.sim.runner import build_simulator
+
+    started = time.perf_counter()
     active_cache = cache if cache is not None else GLOBAL_CACHE
     hits_before = active_cache.hits
     gen_before = active_cache.gen_seconds
@@ -168,8 +188,6 @@ def execute_job(job, tracer=None, profiler=None, cache=None, store=None):
         "store_hit": False,
         "peak_rss_kb": _peak_rss_kb(),
     }
-    if store is not None:
-        store.save_result(job, result)
     return result
 
 
@@ -183,10 +201,10 @@ def iter_group_results(group, skip=(), tracer=None, profiler=None,
     timestamp kernel once per policy.  Members outside the envelope
     (address obfuscation, non-ctr encryption, hash tree, prefetching)
     run the legacy per-policy simulator on the same cached trace.  Both
-    paths produce results bit-identical to :func:`execute_job`.
+    paths produce results bit-identical to :func:`simulate_job`.
 
     ``skip`` is a set of member job_ids to leave out (mid-group resume:
-    the retry loop passes the members already journaled).
+    the retry loop passes the members already settled).
 
     The attempt hook fires once per *member*, right before its
     evaluation, exactly as the ungrouped pipeline fires it per job --
@@ -201,13 +219,11 @@ def iter_group_results(group, skip=(), tracer=None, profiler=None,
     :meth:`~repro.exec.cache.TraceCache.count_group_reuse` also charges
     to the cache counters.
 
-    The artifact store (when active) resolves members *before* the
-    shared decode: members with a stored result are yielded without
-    evaluation (``store_hit`` accounting, no attempt hook -- the same
-    "settled elsewhere" semantics journal-resumed members have), and if
-    every member resolves the trace and prepass are never touched.  The
-    prepass itself is store-backed too: loaded when present, built and
-    published (under a single-flight lock) when not.
+    Results are not looked up in or published to the store's result
+    tier here -- the caller owns that (the executors' resume pre-pass
+    and ``_RunState.complete``; the dist worker).  The prepass is
+    store-backed: loaded when present, built and published (under a
+    single-flight lock) when not.
     """
     from repro.cpu.prepass import (build_prepass, policy_supported,
                                    prepass_supported)
@@ -222,43 +238,23 @@ def iter_group_results(group, skip=(), tracer=None, profiler=None,
     if not members:
         return
     store = active_store()
-    stored = {}
-    if store is not None:
-        for member in members:
-            lookup_start = time.perf_counter()
-            hit = store.load_result(member)
-            if hit is not None:
-                hit.accounting = _store_hit_accounting(lookup_start)
-                stored[member.job_id] = hit
-    to_run = [m for m in members if m.job_id not in stored]
-    trace = None
+    started = time.perf_counter()
+    active_cache = cache if cache is not None else GLOBAL_CACHE
+    hits_before = active_cache.hits
+    gen_before = active_cache.gen_seconds
+    trace = cached_trace(group.benchmark, group.trace_length,
+                         group.effective_seed, profiler=profiler,
+                         cache=active_cache)
+    first_cache_hit = active_cache.hits > hits_before
+    tracegen = active_cache.gen_seconds - gen_before
+    active_cache.count_group_reuse(len(members) - 1)
+    policies = {m.policy: make_policy(m.policy) for m in members}
     prepass = None
-    first_cache_hit = False
-    tracegen = 0.0
-    shared_seconds = 0.0
-    if to_run:
-        started = time.perf_counter()
-        active_cache = cache if cache is not None else GLOBAL_CACHE
-        hits_before = active_cache.hits
-        gen_before = active_cache.gen_seconds
-        trace = cached_trace(group.benchmark, group.trace_length,
-                             group.effective_seed, profiler=profiler,
-                             cache=active_cache)
-        first_cache_hit = active_cache.hits > hits_before
-        tracegen = active_cache.gen_seconds - gen_before
-        active_cache.count_group_reuse(len(to_run) - 1)
-        policies = {m.policy: make_policy(m.policy) for m in to_run}
-        if (prepass_supported(group.config)
-                and any(policy_supported(p) for p in policies.values())):
-            prepass = _shared_prepass(group, trace, store,
-                                      profiler=profiler)
-        shared_seconds = time.perf_counter() - started
-    position = 0  # over executed (non-store-hit) members
-    for member in members:
-        hit = stored.get(member.job_id)
-        if hit is not None:
-            yield member, hit
-            continue
+    if (prepass_supported(group.config)
+            and any(policy_supported(p) for p in policies.values())):
+        prepass = _shared_prepass(group, trace, store, profiler=profiler)
+    shared_seconds = time.perf_counter() - started
+    for position, member in enumerate(members):
         if _ATTEMPT_HOOK is not None:
             _ATTEMPT_HOOK(member,
                           attempt_of(member) if attempt_of is not None
@@ -292,9 +288,6 @@ def iter_group_results(group, skip=(), tracer=None, profiler=None,
             "store_hit": False,
             "peak_rss_kb": _peak_rss_kb(),
         }
-        if store is not None:
-            store.save_result(member, result)
-        position += 1
         yield member, result
 
 
@@ -342,7 +335,7 @@ def _pool_worker(job, attempt=1):
     """Top-level worker entry (must be picklable by ProcessPoolExecutor)."""
     if _ATTEMPT_HOOK is not None:
         _ATTEMPT_HOOK(job, attempt)
-    return job.job_id, execute_job(job)
+    return job.job_id, simulate_job(job)
 
 
 def _pool_worker_group(group, attempt=1):
@@ -351,9 +344,8 @@ def _pool_worker_group(group, attempt=1):
     The ``[(member_job_id, result), ...]`` list crosses the pickle
     boundary whole, so a pool group attempt is all-or-nothing: a worker
     death mid-group yields no partial results and the retry re-runs the
-    full group (bit-identically, since execution is pure).  Incremental
-    mid-group journaling is the serial/degraded path's province.  The
-    attempt hook fires per member (inside ``iter_group_results``), all
+    full group (bit-identically, since execution is pure).  The attempt
+    hook fires per member (inside ``iter_group_results``), all
     reporting the group attempt number.
     """
     return group.job_id, [
@@ -364,23 +356,35 @@ def _pool_worker_group(group, attempt=1):
 
 
 class Executor:
-    """Common driver: journal skip/record, retries, progress, results."""
+    """Common driver: store resume, retries, progress, results."""
 
     backend = "abstract"
     jobs = 1
+    #: Whether a partly-resumed group is trimmed to its unfinished
+    #: members before execution (the dist backend keeps the original
+    #: unit: it may already sit in the spool under its own id).
+    trim_groups = True
 
     def __init__(self):
         self.last_outcomes = {}
 
-    def run(self, jobs, journal=None, tracer=None, profiler=None,
-            progress=None, failure_policy=None, metrics=None):
+    def result_store(self):
+        """The store this run resumes from and publishes to (or None)."""
+        from repro.exec.store import active_store
+
+        return active_store()
+
+    def run(self, jobs, tracer=None, profiler=None, progress=None,
+            failure_policy=None, metrics=None):
         """Execute ``jobs``; returns ``{job: RunResult}``.
 
-        ``journal`` (a :class:`~repro.sim.checkpoint.JobJournal`) makes
-        the call resumable: jobs whose ``job_id`` the journal already
-        holds are skipped and their results rebuilt from disk; every
-        fresh completion is appended before the next job starts, so an
-        interrupted sweep loses at most the in-flight jobs.
+        With a :meth:`result_store` the call is resumable: every job is
+        looked up once, before anything runs; jobs the store already
+        holds under the current code fingerprint come back with
+        ``STATUS_RESUMED`` and are never sent to a worker, and every
+        fresh completion is published before the next job starts, so an
+        interrupted sweep rerun against the same store loses at most
+        its in-flight jobs.
 
         ``failure_policy`` (default: fail-fast, no timeout -- exactly
         the historical behaviour) governs retries, per-attempt timeouts
@@ -389,7 +393,7 @@ class Executor:
         ``self.last_outcomes`` / ``self.failures`` for the report.
 
         ``progress(job, result, done, total)`` fires per completion in
-        the calling process, after the journal append.
+        the calling process.
 
         ``metrics`` (a :class:`~repro.obs.metrics.MetricsRegistry`)
         receives the standard execution-layer families -- jobs settled
@@ -399,49 +403,50 @@ class Executor:
         nothing that can perturb simulated cycle counts.
         """
         jobs = list(jobs)
+        store = self.result_store()
         results = {}
         pending = []
         outcomes = {}
         total = 0
 
         def resume(job):
-            done = journal.result(job) if journal is not None else None
+            if store is None:
+                return False
+            started = time.perf_counter()
+            done = store.load_result(job)
             if done is None:
                 return False
+            done.accounting = _store_hit_accounting(started)
             results[job] = done
             outcomes[job.job_id] = JobResult(
                 job_id=job.job_id, status=STATUS_RESUMED, attempts=0,
-                cache_hit=(done.accounting or {}).get("cache_hit"),
-                store_hit=(done.accounting or {}).get("store_hit"),
-                peak_rss_kb=(done.accounting or {}).get("peak_rss_kb"))
+                store_hit=True,
+                peak_rss_kb=done.accounting["peak_rss_kb"])
             return True
 
         for job in jobs:
             if isinstance(job, MultiPolicySimJob):
-                # Groups resume member-wise: journaled members come back
+                # Groups resume member-wise: stored members come back
                 # from disk and the group is trimmed to the rest, so a
                 # rerun pays only the evaluations that never finished.
                 total += len(job.policies)
                 remaining = [member.policy for member in job.member_jobs
                              if not resume(member)]
-                if remaining:
-                    pending.append(job
-                                   if len(remaining) == len(job.policies)
-                                   else job.subset(remaining))
+                if len(remaining) == len(job.policies):
+                    pending.append(job)
+                elif remaining:
+                    pending.append(job.subset(remaining)
+                                   if self.trim_groups else job)
             else:
                 total += 1
                 if not resume(job):
                     pending.append(job)
-        pending_units = sum(len(job.policies)
-                            if isinstance(job, MultiPolicySimJob) else 1
-                            for job in pending)
-        state = _RunState(total, total - pending_units, journal,
-                          tracer, profiler, progress,
-                          failure_policy or FailurePolicy(), outcomes,
-                          metrics=metrics)
-        for outcome in outcomes.values():
-            state.jm.jobs.labels(STATUS_RESUMED).inc()
-        state.jm.pending.set(pending_units)
+        state = _RunState(total, len(outcomes), store, tracer, profiler,
+                          progress, failure_policy or FailurePolicy(),
+                          outcomes, metrics=metrics)
+        state.jm.jobs.labels(STATUS_RESUMED).inc(len(outcomes))
+        state.jm.store_jobs.inc(len(outcomes))
+        state.jm.pending.set(total - len(outcomes))
         self.last_outcomes = outcomes
         if pending:
             self._execute(pending, results, state)
@@ -474,9 +479,9 @@ class Executor:
                 with attempt_deadline(policy.timeout):
                     if _ATTEMPT_HOOK is not None:
                         _ATTEMPT_HOOK(job, attempt)
-                    result = execute_job(job, tracer=run_tracer,
-                                         profiler=state.profiler,
-                                         cache=cache)
+                    result = simulate_job(job, tracer=run_tracer,
+                                          profiler=state.profiler,
+                                          cache=cache)
             except Exception as exc:
                 if policy.should_retry(attempt):
                     delay = policy.backoff(job.job_id, attempt)
@@ -495,11 +500,11 @@ class Executor:
                    cache=None, prior_attempts=0, started=None):
         """In-process attempt loop for one grouped job.
 
-        Members are journaled incrementally (``state.complete`` fires
-        after each member, before the next starts), so a kill mid-group
-        loses only the in-flight member, and a retry after a mid-group
-        fault re-runs only the members that never completed -- the
-        grouped analogue of per-job journaling.
+        Members are published incrementally (each is saved to the store
+        and settled by ``state.complete`` before the next starts), so a
+        kill mid-group loses only the in-flight member, and a retry
+        after a mid-group fault re-runs only the members that never
+        completed -- the grouped analogue of per-job resume.
 
         Retries are charged *per member*, not per group: a pass aborts
         at its first failing member (members execute in order, so that
@@ -568,14 +573,15 @@ class _RunState:
 
     ``jm`` holds the standard metric families: real ones when the run
     was handed a registry, the shared null metric otherwise, so every
-    code path below records unconditionally.
+    code path below records unconditionally.  ``store`` is the run's
+    :meth:`Executor.result_store`.
     """
 
-    def __init__(self, total, done, journal, tracer, profiler, progress,
+    def __init__(self, total, done, store, tracer, profiler, progress,
                  policy, outcomes, metrics=None):
         self.total = total
         self.done = done
-        self.journal = journal
+        self.store = store
         self.tracer = tracer
         self.profiler = profiler
         self.progress = progress
@@ -583,7 +589,17 @@ class _RunState:
         self.outcomes = outcomes
         self.jm = JobMetrics(metrics)
 
-    def complete(self, job, result, attempts=1, wall=0.0):
+    def complete(self, job, result, attempts=1, wall=0.0, publish=True):
+        """Settle one fresh result, publishing it to the run's store.
+
+        ``publish=False`` is for results that were read out of the
+        store in the first place (the dist driver's settle loop).  A
+        failed publish does not fail the job -- the result is in
+        memory -- but it cannot be resumed; the store counts it in
+        ``repro_store_write_errors_total``.
+        """
+        if publish and self.store is not None:
+            self.store.save_result(job, result)
         self.done += 1
         accounting = getattr(result, "accounting", None) or {}
         self.outcomes[job.job_id] = JobResult(
@@ -593,20 +609,6 @@ class _RunState:
             peak_rss_kb=accounting.get("peak_rss_kb"))
         self.jm.observe_completed(result, wall, status=STATUS_OK)
         self.jm.pending.set(self.total - self.done)
-        if self.journal is not None:
-            try:
-                self.journal.record(job, result)
-            except OSError as exc:
-                # A journal append failing (ENOSPC, dead filesystem)
-                # must not take the sweep down with it: the results are
-                # already in memory.  Drop the journal -- this run just
-                # loses resumability from here on -- and say so.
-                self.journal = None
-                self.jm.journal_degraded.inc()
-                if self.tracer is not None:
-                    self.tracer.emit(JOURNAL_DEGRADED, LANE_JOBS,
-                                     self.done, job_id=job.job_id,
-                                     error=repr(exc))
         if self.tracer is not None:
             self.tracer.emit(JOB_DONE, LANE_JOBS, self.done,
                              job_id=job.job_id, benchmark=job.benchmark,

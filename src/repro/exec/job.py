@@ -97,8 +97,8 @@ class SimJob:
 
         Derived from a canonical JSON encoding of every field (the config
         flattened to plain data), so the id survives pickling, process
-        boundaries and interpreter restarts -- which is what lets a
-        checkpoint journal from a killed sweep be trusted by the rerun.
+        boundaries and interpreter restarts -- which is what lets the
+        results a killed sweep stored be trusted by the rerun.
         """
         payload = {
             "benchmark": self.benchmark,
@@ -110,7 +110,7 @@ class SimJob:
         }
         if self.decorrelate:
             # Only present when set, so every pre-existing job_id (and
-            # therefore every journal written before the flag existed)
+            # therefore every result stored before the flag existed)
             # stays valid.
             payload["decorrelate"] = True
         canonical = json.dumps(payload, sort_keys=True, default=str)
@@ -129,10 +129,10 @@ class MultiPolicySimJob:
     The grouped unit of work of the shared-pass pipeline: one benchmark
     trace at one config/scale, evaluated under every policy in
     ``policies`` inside a single worker.  The group itself is never
-    journaled -- each member evaluation is recorded as the plain
+    stored -- each member evaluation is recorded as the plain
     :class:`SimJob` it replaces, under the *identical* content-hash
-    ``job_id``, so journals, resume, retry accounting and telemetry are
-    oblivious to grouping.
+    ``job_id``, so stored results, resume, retry accounting and
+    telemetry are oblivious to grouping.
 
     Decorrelated jobs cannot be grouped: ``decorrelate`` derives a
     distinct seed (hence a distinct trace) per (benchmark, policy) spec,
@@ -190,7 +190,7 @@ class MultiPolicySimJob:
         """The plain per-policy :class:`SimJob` each member stands for.
 
         Members carry the exact ids a one-job-per-policy sweep would
-        have produced -- the journal-compatibility contract.
+        have produced -- the resume-compatibility contract.
         """
         return tuple(
             SimJob(benchmark=self.benchmark, policy=policy,
@@ -204,7 +204,7 @@ class MultiPolicySimJob:
     def job_id(self):
         """Content hash of the group spec (progress/retry bookkeeping).
 
-        Never journaled -- only member ids reach the journal -- so the
+        Never stored -- only member ids reach the store -- so the
         encoding is free to differ from :class:`SimJob`'s.
         """
         payload = {

@@ -12,7 +12,7 @@ hung trace or transient exception used to abort a multi-hour grid.  A
   with exponential backoff plus *deterministic* jitter (derived from the
   job_id, so reruns sleep the same schedule), then skipped and reported.
 
-Every job -- succeeded, resumed from a journal, or failed -- gets a
+Every job -- succeeded, resumed from the store, or failed -- gets a
 :class:`JobResult` recording its attempts, wall time and terminal error;
 executors expose them as ``executor.last_outcomes`` and sweeps persist
 the attempt counts into their manifests.
@@ -38,7 +38,7 @@ MODES = (FAIL_FAST, SKIP_AND_REPORT, RETRY_THEN_SKIP)
 # ---- job outcome statuses ---------------------------------------------
 
 STATUS_OK = "ok"            # simulated in this run
-STATUS_RESUMED = "resumed"  # rebuilt from the checkpoint journal
+STATUS_RESUMED = "resumed"  # rebuilt from the store's result tier
 STATUS_FAILED = "failed"    # exhausted the failure policy
 
 
@@ -101,14 +101,13 @@ class JobResult:
     """Per-job execution outcome (success, resume or terminal failure).
 
     ``attempts`` counts attempts actually started in this run (0 for a
-    journal resume); ``wall_time`` spans first attempt to settlement,
+    store resume); ``wall_time`` spans first attempt to settlement,
     backoff sleeps included; ``error`` is the terminal error's repr
     (None unless ``status`` is failed).
 
     ``cache_hit``, ``store_hit`` and ``peak_rss_kb`` carry the per-job
     resource accounting measured inside ``execute_job`` (None when the
-    job never produced a result, e.g. terminal failures or old journal
-    records).  Like ``wall_time`` they are *volatile*: backend-,
+    job never produced a result, e.g. terminal failures).  Like ``wall_time`` they are *volatile*: backend-,
     machine- and store-state-dependent, so manifest comparisons must
     strip them.
     """

@@ -17,9 +17,13 @@ instead of once per process:
   straight into the page cache, so N concurrent workers share one
   physical copy of each trace instead of regenerating N times.
 - **Result tier** (``<root>/results``): completed run payloads keyed by
-  ``(job_id, code_fingerprint)`` in the journal-v2 record shape
-  (CRC-sealed canonical JSON), so a repeat sweep or figure run
-  short-circuits simulation entirely and becomes I/O-bound.
+  ``(job_id, code_fingerprint)`` as CRC-sealed canonical JSON.  This is
+  the repo's one durable record of finished work: a rerun against the
+  same store resumes every job it holds (``STATUS_RESUMED``), the
+  multi-host driver settles a job when a worker publishes it here, and
+  a repeat sweep or figure run becomes I/O-bound.  Because the code
+  fingerprint is part of the key, a sweep rerun after a timing-model
+  edit re-simulates instead of mixing results from two code versions.
 - **Single-flight generation** (``<root>/locks``): ``O_CREAT|O_EXCL``
   lock files coalesce concurrent requests for the same missing entry,
   so K workers asking for one trace cost one generation.  Locks are
@@ -28,27 +32,30 @@ instead of once per process:
   locks (dead owner pid, or older than ``stale_lock_seconds``) are
   broken, so a SIGKILLed worker cannot wedge the store.
 
-Integrity follows the journal-v2 discipline: every entry is checksummed
-end to end, a failed check moves the entry into ``<root>/quarantine``
-(with the reason appended to ``quarantine.rej``) and reports a miss, and
-the caller regenerates -- corruption costs one recomputation, never a
-wrong number.  Because loads fall back to generation and saves swallow
-``OSError``, a broken store degrades to exactly the no-store behaviour.
+Integrity: every entry is checksummed end to end, a failed check moves
+the entry into ``<root>/quarantine`` (with the reason appended to
+``quarantine.rej``) and reports a miss, and the caller regenerates --
+corruption costs one recomputation, never a wrong number.  Because
+loads fall back to generation and saves swallow ``OSError`` (counted in
+``repro_store_write_errors_total``: a result that failed to save cannot
+be resumed), a broken store degrades to exactly the no-store behaviour.
 
 Bit-identity contract: a loaded trace/prepass exposes the same column
 values (``memoryview('q')`` instead of tuples/lists -- same ints, same
-order), and a loaded result rebuilds through the same
-``StatGroup.from_dict`` path journal resume already trusts, so warm
-results are byte-identical to cold ones.  ``repro perf`` measures and
-``repro chaos --store`` gates exactly that.
+order), and a loaded result rebuilds its stats through
+``StatGroup.from_dict``, so warm results are byte-identical to cold
+ones.  ``repro perf`` measures and ``repro chaos --store`` gates
+exactly that.
 
-The store is **off by default**: it activates only via the ``--store``
-CLI flag or the ``REPRO_STORE`` environment variable (which forked pool
-workers inherit, mirroring ``REPRO_JOBS``/``REPRO_NATIVE``).
+The store is used only when asked for: via the ``--store`` CLI flag or
+the ``REPRO_STORE`` environment variable (which forked pool workers
+inherit, mirroring ``REPRO_JOBS``/``REPRO_NATIVE``), or -- for the
+multi-host backend -- the spool's shared store.
 """
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import mmap
 import os
@@ -59,8 +66,6 @@ import zlib
 from array import array
 from contextlib import contextmanager
 
-from repro.sim.checkpoint import _record_crc, atomic_write_text, tmp_suffix
-
 #: Environment variable naming the store root (inherited by workers).
 STORE_ENV = "REPRO_STORE"
 
@@ -68,7 +73,7 @@ STORE_ENV = "REPRO_STORE"
 #: entries then fail validation and are regenerated, never misread.
 FORMAT_VERSION = 1
 
-#: Result-tier record shape version (journal-style JSON records).
+#: Result-tier record shape version (CRC-sealed JSON records).
 RESULT_VERSION = 1
 
 _MAGIC = b"RPAS"
@@ -79,6 +84,59 @@ _PREAMBLE = struct.Struct("<4sIIIQI")
 _PREAMBLE_LEN = 32
 
 _TIERS = ("traces", "prepass", "results")
+
+_HOST = socket.gethostname()
+_TMP_COUNTER = itertools.count()
+
+
+def tmp_suffix():
+    """A collision-proof temp-file suffix for write-then-rename.
+
+    Folds in the hostname, the pid *and* a per-process monotonic
+    counter: on a shared filesystem two hosts can hold equal pids, and
+    one process can stage two writes to the same target back to back,
+    so pid alone (let alone a bare ``.tmp``) is not unique.  The
+    literal ``.tmp`` substring is what store and spool directory scans
+    key on to ignore staged files.
+    """
+    return ".tmp.%s.%d.%d" % (_HOST, os.getpid(), next(_TMP_COUNTER))
+
+
+def atomic_write_text(path, text):
+    """Write ``text`` to ``path`` via write-then-rename.
+
+    A crash mid-write leaves the old file intact (or a stray ``.tmp``),
+    never a half-written file; ``os.replace`` is atomic on POSIX and
+    Windows.  The staging name is unique per host, process and call, so
+    concurrent writers on a shared filesystem never clobber each
+    other's staging file -- last rename wins whole.
+    """
+    path = os.fspath(path)
+    tmp = path + tmp_suffix()
+    try:
+        with open(tmp, "w") as handle:
+            handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except OSError:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
+def _record_crc(record):
+    """CRC32 of a record's canonical JSON, ``crc32`` field excluded.
+
+    ``record`` must already be JSON-normalised (string keys, round-
+    tripped floats) -- :meth:`ArtifactStore.save_result` passes every
+    record through ``json.loads(json.dumps(...))`` before checksumming,
+    which makes the canonical text a fixed point.
+    """
+    body = {key: value for key, value in record.items() if key != "crc32"}
+    return zlib.crc32(json.dumps(body, sort_keys=True).encode())
 
 
 class CorruptEntryError(Exception):
@@ -372,6 +430,10 @@ class ArtifactStore:
         self._m_lock_waits = registry.counter(
             "repro_store_lock_waits_total",
             "Generations coalesced behind another process's lock")
+        self._m_write_errors = registry.counter(
+            "repro_store_write_errors_total",
+            "Store publishes that failed (e.g. ENOSPC); a result that "
+            "failed to save cannot be resumed")
 
     # -- bookkeeping ----------------------------------------------------
 
@@ -388,6 +450,11 @@ class ArtifactStore:
     def _wrote(self, nbytes):
         self.counters["bytes_written"] += nbytes
         self._m_bytes_written.inc(nbytes)
+
+    def _write_failed(self):
+        self.counters["write_errors"] += 1
+        self._m_write_errors.inc()
+        return False
 
     def _quarantine(self, path, reason):
         """Move a failed entry aside; keep the evidence, report a miss."""
@@ -434,6 +501,10 @@ class ArtifactStore:
     def result_name(self, job):
         return _key_hash({"kind": "result", "job_id": job.job_id,
                           "fingerprint": code_fingerprint("result")})
+
+    def result_path(self, job):
+        """Where ``job``'s result entry lives (present or not)."""
+        return self._path("results", self.result_name(job) + ".json")
 
     def _path(self, tier, name):
         return os.path.join(self.root, tier, name)
@@ -506,8 +577,7 @@ class ArtifactStore:
         try:
             self._wrote(_write_entry(path, header, columns))
         except OSError:
-            self.counters["write_errors"] += 1
-            return False
+            return self._write_failed()
         return True
 
     # -- prepass tier ---------------------------------------------------
@@ -574,8 +644,7 @@ class ArtifactStore:
         try:
             self._wrote(_write_entry(path, header, columns))
         except OSError:
-            self.counters["write_errors"] += 1
-            return False
+            return self._write_failed()
         return True
 
     # -- result tier ----------------------------------------------------
@@ -583,13 +652,13 @@ class ArtifactStore:
     def load_result(self, job):
         """Rebuild the completed run for ``job``, or None.
 
-        The record shape and rebuild mirror
-        :meth:`~repro.sim.checkpoint.JobJournal.result` -- the path
-        journal resume already trusts for bit-identical reruns.
-        Accounting is *not* restored: the caller attaches fresh
-        accounting describing this (store-hit) execution.
+        The rebuilt result carries a live :class:`StatGroup` and the
+        persisted :class:`~repro.sim.metrics.RunMetrics`, so sweep
+        accessors and manifests work the same whether a run was
+        simulated or resumed.  Accounting is *not* restored: the caller
+        attaches fresh accounting describing this (store-hit) lookup.
         """
-        path = self._path("results", self.result_name(job) + ".json")
+        path = self.result_path(job)
         try:
             with open(path) as handle:
                 text = handle.read()
@@ -634,7 +703,11 @@ class ArtifactStore:
         self._touch(path)
         return result
 
+    #: How a result entry reaches disk (the chaos harness's ENOSPC seam).
+    _write_text = staticmethod(atomic_write_text)
+
     def save_result(self, job, result):
+        """Publish ``job``'s finished result; False if the write failed."""
         record = {
             "store_version": RESULT_VERSION,
             "job_id": job.job_id,
@@ -654,17 +727,15 @@ class ArtifactStore:
                         if getattr(result, "metrics", None) is not None
                         else None),
         }
-        # Same canonicalisation as the journal: one JSON round trip so
-        # the CRC covers exactly the text a reader re-canonicalises.
+        # One JSON round trip (int dict keys become strings) so the CRC
+        # covers exactly the text a reader re-canonicalises.
         record = json.loads(json.dumps(record))
         record["crc32"] = _record_crc(record)
         text = json.dumps(record, sort_keys=True)
-        path = self._path("results", self.result_name(job) + ".json")
         try:
-            atomic_write_text(path, text)
+            self._write_text(self.result_path(job), text)
         except OSError:
-            self.counters["write_errors"] += 1
-            return False
+            return self._write_failed()
         self._wrote(len(text))
         return True
 
@@ -980,3 +1051,13 @@ def set_active_store(store):
     _active = store
     _resolved = True
     return previous
+
+
+@contextmanager
+def using_store(store):
+    """Make ``store`` (None: no store) the active one for the block."""
+    previous = set_active_store(store)
+    try:
+        yield store
+    finally:
+        set_active_store(previous)

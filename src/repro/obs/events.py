@@ -31,8 +31,6 @@ JOB_DONE = "JOB_DONE"              # executor finished one SimJob
 JOB_RETRY = "JOB_RETRY"            # job attempt failed; will run again
 JOB_FAILED = "JOB_FAILED"          # job exhausted its failure policy
 BACKEND_DEGRADED = "BACKEND_DEGRADED"  # pool gave up; serial fallback
-JOURNAL_DEGRADED = "JOURNAL_DEGRADED"  # journal append failed (e.g.
-                                       # ENOSPC); run continues unjournaled
 HOST_LOST = "HOST_LOST"            # dist worker host stopped heartbeating;
                                    # its lease was released for re-claim
 
@@ -40,7 +38,7 @@ KINDS = (
     FETCH_ISSUED, ISSUE, COMMIT, SQUASH, STORE_RELEASED,
     L2_MISS, MSHR_STALL, DECRYPT_DONE, VERIFY_DONE, VERIFY_WINDOW,
     AUTH_QUEUE_FULL, BUS_GRANT, ROW_CONFLICT, JOB_DONE, JOB_RETRY,
-    JOB_FAILED, BACKEND_DEGRADED, JOURNAL_DEGRADED, HOST_LOST,
+    JOB_FAILED, BACKEND_DEGRADED, HOST_LOST,
 )
 
 # ---- lanes ------------------------------------------------------------
@@ -57,7 +55,7 @@ LANE_BUS = "bus"
 LANE_DRAM = "dram"
 # Executor progress: one JOB_DONE per completed SimJob, plus the
 # fault-tolerance events (JOB_RETRY, JOB_FAILED, BACKEND_DEGRADED,
-# JOURNAL_DEGRADED, HOST_LOST).
+# HOST_LOST).
 # "cycle" on this lane is the completion ordinal, not a simulated cycle.
 LANE_JOBS = "jobs"
 

@@ -124,7 +124,7 @@ def build_sweep_manifest(sweep, profiler=None):
             "cycles": result.cycles,
             "ipc": result.ipc,
             # Fault-tolerance provenance: how many attempts this run
-            # took and whether it was simulated or journal-resumed.
+            # took and whether it was simulated or store-resumed.
             "attempts": outcome.attempts if outcome is not None else None,
             "status": outcome.status if outcome is not None else None,
             # Per-job resource accounting (wall/tracegen seconds, cache
@@ -272,7 +272,7 @@ def write_json_atomic(payload, path):
     the tmp-write + ``os.replace`` means a concurrent reader sees the
     old complete file or the new complete file, never a torn one.
     """
-    from repro.sim.checkpoint import atomic_write_text
+    from repro.exec.store import atomic_write_text
 
     text = json.dumps(payload, indent=1, sort_keys=True, default=str)
     atomic_write_text(path, text)

@@ -426,9 +426,6 @@ class JobMetrics:
         self.degraded = registry.counter(
             "repro_backend_degraded_total",
             "Times a backend gave up on its pool and went serial")
-        self.journal_degraded = registry.counter(
-            "repro_journal_degraded_total",
-            "Journal appends that failed; the run continued unjournaled")
         self.cache_hits = registry.counter(
             "repro_trace_cache_hits_total",
             "Jobs whose trace came out of the per-process cache")
@@ -458,8 +455,8 @@ class JobMetrics:
             "Worker hosts with a fresh heartbeat on the spool")
         self.dist_jobs = registry.counter(
             "repro_dist_jobs_total",
-            "Member results merged from per-host journal segments, "
-            "by executing host", ("host",))
+            "Job units finished per worker host, from the spool's "
+            "census files", ("host",))
         self.host_lost = registry.counter(
             "repro_dist_host_lost_total",
             "Worker hosts declared dead after missed lease heartbeats")

@@ -7,11 +7,11 @@ artifacts a run leaves behind -- no re-simulation.  Feed it any mix of:
 - a figures manifest (``repro figures``),
 - a run / run-set manifest (``repro run --emit-json``),
 - a chaos report (``repro chaos --emit-json``),
-- a metrics snapshot (``--metrics-out``),
+- a metrics snapshot (``--metrics-out``).
 
-plus optionally the job journal (``--journal``), which contributes the
-per-job resource accounting (wall/tracegen seconds, cache hits, peak
-RSS) that powers the slowest-jobs table and the distributions.
+Sweep manifests carry each run's resource accounting
+(``runs[].accounting``: wall/tracegen seconds, cache and store hits,
+peak RSS), which powers the slowest-jobs table and the distributions.
 
 The report has two forms: :func:`render_report` (text, table style
 shared with the sweep tables) and the raw :func:`build_report` dict
@@ -52,7 +52,7 @@ def _new_report():
         "jobs": {"total": 0, "ok": 0, "resumed": 0, "failed": 0,
                  "retried": 0},
         "cells": [],        # per benchmark x policy outcome rows
-        "slowest": [],      # from journal accounting
+        "slowest": [],      # from sweep-manifest accounting
         "wall": None,       # {"count", "mean", "p50", "p95", "max"}
         "rss": None,        # {"count", "mean_kb", "max_kb"}
         "cache": None,      # {"hits", "misses", "hit_rate", ...}
@@ -136,10 +136,19 @@ def _ingest_run_set(report, payload):
                   "ok", None, None)
 
 
+def _store_write_errors_line(count):
+    return ("artifact store failed %d result write(s) (e.g. ENOSPC); "
+            "those jobs cannot be resumed" % count)
+
+
 def _ingest_chaos(report, payload, key_names):
     """Fold a chaos report in; ``key_names`` maps job_id -> (bench,
-    policy) when a journal was supplied (chaos reports only carry ids).
+    policy) from any sweep manifest given alongside, and the report's
+    own ``cells`` map fills in the rest.
     """
+    key_names = dict(key_names)
+    key_names.update((job_id, tuple(cell)) for job_id, cell
+                     in (payload.get("cells") or {}).items())
     attempts = payload.get("attempts") or {}
     failed_ids = {f.get("job_id") for f in payload.get("failures", ())}
     for job_id, count in sorted(attempts.items()):
@@ -156,8 +165,8 @@ def _ingest_chaos(report, payload, key_names):
     for job_id, kind in sorted((payload.get("injected") or {}).items()):
         report["degradations"].append(
             "chaos: injected %s into job %s" % (kind, job_id))
-    for note in payload.get("journal_corruption", ()):
-        report["degradations"].append("chaos: journal %s" % note)
+    for note in payload.get("result_corruption", ()):
+        report["degradations"].append("chaos: %s" % note)
     if payload.get("pool_rebuilds"):
         report["degradations"].append(
             "worker pool rebuilt %d time(s) after worker loss"
@@ -165,14 +174,14 @@ def _ingest_chaos(report, payload, key_names):
     if payload.get("degraded"):
         report["degradations"].append(
             "backend degraded to serial execution mid-run")
-    if payload.get("journal_degraded_events"):
+    if payload.get("store_write_errors"):
         report["degradations"].append(
-            "journal append failed mid-run (%d event(s)); run finished "
-            "unjournaled" % payload["journal_degraded_events"])
-    if payload.get("quarantined_lines"):
+            _store_write_errors_line(payload["store_write_errors"]))
+    if payload.get("quarantined_entries"):
         report["degradations"].append(
-            "quarantined %d corrupt journal line(s)"
-            % payload["quarantined_lines"])
+            "quarantined %d corrupt result entr%s"
+            % (payload["quarantined_entries"],
+               "y" if payload["quarantined_entries"] == 1 else "ies"))
 
 
 def _ingest_metrics(report, payload):
@@ -191,7 +200,7 @@ def _ingest_metrics(report, payload):
         return summary.get(name, {}).get("total", 0)
 
     if report["cache"] is not None:
-        # The journal knows per-job hits but not evictions (those are
+        # Manifests know per-job hits but not evictions (those are
         # process-wide, not per-job); the metrics snapshot fills the gap.
         if report["cache"].get("evictions") is None:
             report["cache"]["evictions"] = counter(
@@ -261,27 +270,33 @@ def _ingest_metrics(report, payload):
         line = "backend degraded to serial execution mid-run"
         if line not in report["degradations"]:
             report["degradations"].append(line)
-    if counter("repro_journal_degraded_total"):
-        line = ("journal append failed mid-run (%d event(s)); run "
-                "finished unjournaled"
-                % counter("repro_journal_degraded_total"))
+    if counter("repro_store_write_errors_total"):
+        line = _store_write_errors_line(
+            counter("repro_store_write_errors_total"))
         if line not in report["degradations"]:
             report["degradations"].append(line)
 
 
-def _ingest_journal(report, journal_path, top):
-    """Mine the journal's per-job accounting for cost tables."""
-    from repro.sim.checkpoint import JobJournal
+def _sweep_accounting(payloads):
+    """``{job_id: {"benchmark", "policy", "accounting"}}`` over every
+    sweep manifest's runs (later manifests win on a repeated job)."""
+    records = {}
+    for kind, payload in payloads:
+        if kind != "sweep":
+            continue
+        for run in payload.get("runs", ()):
+            if run.get("job_id") is None:
+                continue
+            records[run["job_id"]] = {
+                "benchmark": run.get("benchmark"),
+                "policy": run.get("policy"),
+                "accounting": run.get("accounting"),
+            }
+    return records
 
-    if not os.path.exists(journal_path):
-        # JobJournal treats a missing file as an empty journal (that is
-        # how first runs start); for a report that would silently hide
-        # a typo'd path, so fail loudly instead.
-        raise ReproError("journal not found: %s" % journal_path)
-    journal = JobJournal(journal_path)
-    records = journal.accounting()
-    key_names = {job_id: (info["benchmark"], info["policy"])
-                 for job_id, info in records.items()}
+
+def _ingest_accounting(report, records, top):
+    """Build the cost tables from per-job accounting records."""
     wall_hist = HistogramMetric(resolution=1e-3)
     rss_hist = HistogramMetric(resolution=1.0)
     tracegen_hist = HistogramMetric(resolution=1e-3)
@@ -342,7 +357,7 @@ def _ingest_journal(report, journal_path, top):
             "hits": hits,
             "misses": misses,
             "hit_rate": round(hits / (hits + misses), 4),
-            # Evictions are process-wide, not per-job, so the journal
+            # Evictions are process-wide, not per-job, so manifests
             # cannot supply them; _ingest_metrics fills this in when a
             # --metrics snapshot is given.
             "evictions": None,
@@ -350,16 +365,14 @@ def _ingest_journal(report, journal_path, top):
         }
     if store_hits:
         report["store"] = {"result_short_circuits": store_hits}
-    return key_names
 
 
-def build_report(paths, journal=None, top=10):
+def build_report(paths, top=10):
     """Build the health-report dict from artifact ``paths``.
 
-    ``paths`` is a sequence of JSON artifacts (kinds sniffed per file);
-    ``journal`` optionally names the run's job journal.  Raises
-    :class:`~repro.errors.ReproError` for unreadable or unrecognised
-    inputs.
+    ``paths`` is a sequence of JSON artifacts (kinds sniffed per file).
+    Raises :class:`~repro.errors.ReproError` for unreadable or
+    unrecognised inputs.
     """
     report = _new_report()
     payloads = []
@@ -377,11 +390,11 @@ def build_report(paths, journal=None, top=10):
         report["sources"].append({"path": os.fspath(path), "kind": kind})
         payloads.append((kind, payload))
 
-    key_names = {}
-    if journal:
-        key_names = _ingest_journal(report, journal, top)
-        report["sources"].append({"path": os.fspath(journal),
-                                  "kind": "journal"})
+    records = _sweep_accounting(payloads)
+    if records:
+        _ingest_accounting(report, records, top)
+    key_names = {job_id: (info["benchmark"], info["policy"])
+                 for job_id, info in records.items()}
 
     for kind, payload in payloads:
         if kind == "sweep":
@@ -458,7 +471,7 @@ def render_report(report, top=10):
 
     if report["slowest"]:
         lines.append("")
-        lines.append("slowest %d job(s) (journal accounting):"
+        lines.append("slowest %d job(s) (manifest accounting):"
                      % min(top, len(report["slowest"])))
         rows = [
             [entry["benchmark"] or entry["job_id"],
@@ -528,9 +541,9 @@ def render_report(report, top=10):
                      "%d lease break(s)"
                      % (hosts.get("live", 0), hosts.get("lost", 0),
                         hosts.get("lease_breaks", 0)))
-        for host, merged in sorted(hosts.get("jobs_by_host",
-                                             {}).items()):
-            lines.append("  %-24s %d job(s) merged" % (host, merged))
+        for host, units in sorted(hosts.get("jobs_by_host",
+                                            {}).items()):
+            lines.append("  %-24s %d unit(s) finished" % (host, units))
 
     lines.append("")
     if report["degradations"]:

@@ -12,15 +12,13 @@ from repro.obs.events import (
     JOB_DONE,
     JOB_FAILED,
     JOB_RETRY,
-    JOURNAL_DEGRADED,
     LANE_JOBS,
     VERIFY_WINDOW,
 )
 from repro.util.statistics import Histogram
 
 #: Executor-lane event kinds the jobs summary reports, in display order.
-JOB_EVENT_KINDS = (JOB_DONE, JOB_RETRY, JOB_FAILED, BACKEND_DEGRADED,
-                   JOURNAL_DEGRADED)
+JOB_EVENT_KINDS = (JOB_DONE, JOB_RETRY, JOB_FAILED, BACKEND_DEGRADED)
 
 
 def gap_histogram(events):

@@ -12,7 +12,7 @@ reference outcome of a small (benchmark x policy) matrix:
 
 The digests are computed over a JSON round-trip of the payload (bucket
 keys normalised to strings, canonical key order), so they are stable
-across the process boundary and the checkpoint journal.
+across the process boundary and the artifact store's result tier.
 
 ``PRE_PR_BASELINE`` records the replay throughput of the simulator
 *before* the packed-trace/O(1)-LRU/flattened-hierarchy optimisation

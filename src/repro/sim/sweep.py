@@ -10,7 +10,7 @@ By default the grid is expanded *grouped*: one
 trace once and evaluates every policy against it through the shared
 timestamp kernel (``run(grouped=False)`` keeps the historical
 one-job-per-cell expansion; results are bit-identical either way, and
-both shapes journal under the same per-cell job_ids).  Results
+both shapes resume under the same per-cell job_ids).  Results
 normalise against the decrypt-only baseline (the paper's Figure 7
 presentation) or against authen-then-issue (Figures 8/11/13).
 """
@@ -60,7 +60,7 @@ class PolicySweep:
     def jobs(self, include_baseline=True):
         """The sweep's per-cell job list (benchmark-major, deterministic).
 
-        This is the journal-facing view: one :class:`SimJob` id per
+        This is the resume-facing view: one :class:`SimJob` id per
         (benchmark, policy) cell, whether or not execution is grouped.
         """
         return build_jobs(self.benchmarks,
@@ -78,15 +78,15 @@ class PolicySweep:
                                 warmup=self.warmup, seed=self.seed)
 
     def run(self, include_baseline=True, profiler=None, tracer=None,
-            executor=None, journal=None, progress=None,
-            failure_policy=None, metrics=None, grouped=True):
+            executor=None, progress=None, failure_policy=None,
+            metrics=None, grouped=True):
         """Execute the sweep; returns self for chaining.
 
         ``executor`` picks the backend (default: serial, or whatever
         ``REPRO_JOBS`` selects); a borrowed executor is left open for
-        the caller, a default one is closed.  ``journal`` (a
-        :class:`~repro.sim.checkpoint.JobJournal`) makes the sweep
-        resumable: completed job_ids are skipped.  ``failure_policy``
+        the caller, a default one is closed.  With an active artifact
+        store the sweep is resumable: cells the store already holds come
+        back ``resumed`` without simulating.  ``failure_policy``
         (a :class:`~repro.exec.retry.FailurePolicy`) governs retries,
         timeouts and skip-vs-abort; per-job attempt counts land in
         ``self.job_outcomes`` and the sweep manifest.  Jobs that failed
@@ -103,13 +103,13 @@ class PolicySweep:
         ``grouped`` (default True) runs each benchmark as one
         :class:`~repro.exec.job.MultiPolicySimJob` -- decode once,
         evaluate every policy -- instead of one job per cell; cycle
-        counts, stats, journal records and per-cell bookkeeping are
+        counts, stats, stored results and per-cell bookkeeping are
         identical either way.
         """
         jobs = self.jobs(include_baseline)
         units = self.job_groups(include_baseline) if grouped else jobs
         with executor_scope(executor) as active:
-            results = active.run(units, journal=journal, tracer=tracer,
+            results = active.run(units, tracer=tracer,
                                  profiler=profiler, progress=progress,
                                  failure_policy=failure_policy,
                                  metrics=metrics)

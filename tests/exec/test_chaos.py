@@ -1,26 +1,27 @@
-"""Chaos-harness tests: seeded schedules, journal corruption, recovery."""
+"""Chaos-harness tests: seeded schedules, stored-result corruption,
+recovery."""
 
 import json
 
 import pytest
 
 from repro.errors import ReproError
-from repro.exec import SerialExecutor, build_jobs
+from repro.exec import ArtifactStore, SerialExecutor, build_jobs
 from repro.exec.chaos import (
     ALL_FAULTS,
     FAULT_HANG,
     FAULT_JOB_EXCEPTION,
-    FAULT_JOURNAL_BITFLIP,
-    FAULT_JOURNAL_TRUNCATE,
+    FAULT_RESULT_BITFLIP,
+    FAULT_RESULT_TRUNCATE,
     FAULT_WORKER_KILL,
     ChaosPlan,
     InjectedFault,
     build_plan,
-    corrupt_journal,
+    corrupt_results,
     result_digest,
     run_chaos,
 )
-from repro.sim.checkpoint import JobJournal
+from repro.exec.store import using_store
 
 JOBS = build_jobs(["gzip"], ["decrypt-only", "authen-then-commit",
                              "authen-then-issue"],
@@ -32,7 +33,7 @@ class TestBuildPlan:
         one = build_plan(JOBS, seed=5)
         two = build_plan(JOBS, seed=5)
         assert one.job_faults == two.job_faults
-        assert one.journal_faults == two.journal_faults
+        assert one.result_faults == two.result_faults
 
     def test_different_seed_can_differ(self):
         schedules = {frozenset(build_plan(JOBS, seed=s).job_faults.items())
@@ -52,9 +53,9 @@ class TestBuildPlan:
     def test_fault_subset_respected(self):
         plan = build_plan(JOBS, seed=0,
                           faults=(FAULT_JOB_EXCEPTION,
-                                  FAULT_JOURNAL_TRUNCATE))
+                                  FAULT_RESULT_TRUNCATE))
         assert set(plan.job_faults.values()) == {FAULT_JOB_EXCEPTION}
-        assert plan.journal_faults == (FAULT_JOURNAL_TRUNCATE,)
+        assert plan.result_faults == (FAULT_RESULT_TRUNCATE,)
 
     def test_faults_fire_on_first_attempt_only(self):
         plan = ChaosPlan(0, {JOBS[0].job_id: FAULT_JOB_EXCEPTION})
@@ -71,45 +72,52 @@ class TestBuildPlan:
 
 class TestCorruptJournal:
     @pytest.fixture
-    def journal_path(self, tmp_path):
-        path = tmp_path / "chaos.journal"
-        SerialExecutor().run(JOBS, journal=JobJournal(path))
-        return path
+    def store(self, tmp_path):
+        store = ArtifactStore(tmp_path / "store")
+        with using_store(store):
+            SerialExecutor().run(JOBS)
+        return store
 
-    def test_truncate_tears_final_record(self, journal_path):
-        before = journal_path.read_text().splitlines()
-        applied = corrupt_journal(journal_path,
-                                  (FAULT_JOURNAL_TRUNCATE,), seed=0)
+    def _heal(self, store):
+        """Rerun against the damaged store; returns #re-simulated."""
+        healer = SerialExecutor()
+        with using_store(store):
+            healer.run(JOBS)
+        return sum(1 for outcome in healer.last_outcomes.values()
+                   if outcome.status != "resumed")
+
+    def test_truncate_tears_final_record(self, store):
+        sizes = sorted(st.st_size for _, st in store._entries("results"))
+        applied = corrupt_results(store.root, (FAULT_RESULT_TRUNCATE,),
+                                  seed=0)
         assert any("truncated" in note for note in applied)
-        after = journal_path.read_text().splitlines()
-        assert len(after) == len(before)
-        assert after[-1] == before[-1][:len(before[-1]) // 2]
-        journal = JobJournal(journal_path)
-        assert journal.quarantined_lines == 1
-        assert len(journal) == len(JOBS) - 1
+        after = sorted(st.st_size for _, st in store._entries("results"))
+        assert len(after) == len(sizes) and after != sizes
+        assert self._heal(store) == 1
+        assert store.counters["quarantined"] == 1
 
-    def test_bitflip_is_caught_by_crc(self, journal_path):
-        applied = corrupt_journal(journal_path,
-                                  (FAULT_JOURNAL_BITFLIP,), seed=0)
+    def test_bitflip_is_caught_by_crc(self, store):
+        applied = corrupt_results(store.root, (FAULT_RESULT_BITFLIP,),
+                                  seed=0)
         assert any("flipped" in note for note in applied)
-        journal = JobJournal(journal_path)
-        assert journal.quarantined_lines == 1
-        assert len(journal) == len(JOBS) - 1
+        assert self._heal(store) == 1
+        assert store.counters["quarantined"] == 1
 
     def test_missing_journal_is_a_noop(self, tmp_path):
-        assert corrupt_journal(tmp_path / "nope", ALL_FAULTS, 0) == []
+        assert corrupt_results(tmp_path / "nope", ALL_FAULTS, 0) == []
 
 
 class TestRunChaos:
     def test_serial_exception_campaign_converges(self, tmp_path):
         report = run_chaos(num_instructions=600, warmup=300, seed=1,
                            faults=(FAULT_JOB_EXCEPTION,
-                                   FAULT_JOURNAL_TRUNCATE),
+                                   FAULT_RESULT_TRUNCATE),
                            workers=1, workdir=str(tmp_path))
         assert report.identical
         assert report.failures == []
         assert FAULT_JOB_EXCEPTION in report.injected.values()
-        assert report.quarantined_lines == 1
+        assert report.quarantined_entries == 1
+        assert report.reexecuted_jobs == 1
         # The injected job took >1 attempt; everyone else took 1.
         assert any(n > 1 for n in report.attempts.values())
         assert report.as_dict()["stats_digest"] == report.stats_digest
@@ -125,8 +133,8 @@ class TestRunChaos:
             [FAULT_WORKER_KILL, FAULT_JOB_EXCEPTION, FAULT_HANG])
         assert report.pool_rebuilds >= 1  # the kill broke the pool
         assert report.retry_events >= 1
-        assert report.quarantined_lines >= 1
-        assert len(report.journal_corruption) == 2
+        assert report.quarantined_entries == 2
+        assert len(report.result_corruption) == 2
 
     def test_campaign_is_reproducible(self, tmp_path):
         kwargs = dict(num_instructions=600, warmup=300, seed=3,
@@ -152,7 +160,7 @@ class TestChaosCli:
 
         report_path = tmp_path / "report.json"
         code = main(["chaos", "--seed", "0",
-                     "--faults", "job-exception,journal-bitflip",
+                     "--faults", "job-exception,result-bitflip",
                      "-n", "600", "--warmup", "300", "-j", "1",
                      "--workdir", str(tmp_path),
                      "--emit-json", str(report_path)])
@@ -161,7 +169,7 @@ class TestChaosCli:
         assert "bit-identical" in out
         payload = json.loads(report_path.read_text())
         assert payload["identical"] is True
-        assert payload["faults"] == ["job-exception", "journal-bitflip"]
+        assert payload["faults"] == ["job-exception", "result-bitflip"]
 
     def test_cli_rejects_unknown_fault(self, capsys):
         from repro.cli import main
@@ -195,24 +203,36 @@ class TestInfraFaults:
         ChaosPlan(0, {}, infra_faults=(FAULT_POOL_INIT,)).init_fault()
 
     def test_enospc_journal_degrades_not_aborts(self, tmp_path):
-        from repro.exec.chaos import _enospc_journal
-        from repro.obs import MemorySink, Tracer
-        from repro.obs.events import JOURNAL_DEGRADED
+        from repro.exec.chaos import EnospcStore
+        from repro.obs import MetricsRegistry, build_report, render_report
+        from repro.obs.metrics import write_metrics
+        from repro.sim.sweep import PolicySweep
 
-        sink = MemorySink()
-        journal = _enospc_journal(str(tmp_path / "j.jsonl"), fail_at=2)
-        executor = SerialExecutor()
-        results = executor.run(JOBS, journal=journal,
-                               tracer=Tracer([sink]))
-        # Every job completed in memory despite the dead journal...
-        assert set(results) == set(JOBS)
-        degraded = [e for e in sink.events
-                    if e.kind == JOURNAL_DEGRADED]
-        assert len(degraded) == 1
-        assert "ENOSPC" in degraded[0].args["error"].upper() or \
-            "28" in degraded[0].args["error"]
-        # ...and only the pre-failure record made it to disk.
-        assert len(JobJournal(str(tmp_path / "j.jsonl"))) == 1
+        def sweep():
+            return PolicySweep(["gzip"], ["authen-then-commit",
+                                          "authen-then-issue"],
+                               num_instructions=600, warmup=300)
+
+        with using_store(None):
+            clean = sweep().run()
+        registry = MetricsRegistry()
+        store = EnospcStore(tmp_path / "store", fail_at=2,
+                            metrics=registry)
+        with using_store(store):
+            faulted = sweep().run(metrics=registry)
+        # Every job completed in memory despite the failed publish...
+        assert set(faulted.results) == set(clean.results)
+        for key, result in clean.results.items():
+            assert result_digest(faulted.results[key]) == \
+                result_digest(result)
+        # ...only that one write failed, and the report says so.
+        assert store.counters["write_errors"] == 1
+        assert store.stats()["tiers"]["results"]["entries"] == \
+            len(clean.results) - 1
+        snapshot = write_metrics(registry, str(tmp_path / "m.json"))
+        text = render_report(build_report([snapshot]))
+        assert ("artifact store failed 1 result write(s) (e.g. ENOSPC); "
+                "those jobs cannot be resumed") in text
 
     def test_pool_init_campaign_converges(self, tmp_path):
         from repro.exec.chaos import FAULT_POOL_INIT
@@ -227,19 +247,19 @@ class TestInfraFaults:
         assert report.failures == []
 
     def test_enospc_campaign_converges(self, tmp_path):
-        from repro.exec.chaos import FAULT_JOURNAL_ENOSPC
+        from repro.exec.chaos import FAULT_STORE_ENOSPC
 
         report = run_chaos(policies=("decrypt-only",
                                      "authen-then-commit"),
                            num_instructions=600, warmup=300, seed=0,
-                           faults=(FAULT_JOURNAL_ENOSPC,), workers=1,
+                           faults=(FAULT_STORE_ENOSPC,), workers=1,
                            workdir=str(tmp_path))
         assert report.identical
-        assert report.journal_degraded_events == 1
-        # The journal died after one record: phase 3 re-simulates the
-        # lost jobs instead of resuming them.
-        assert report.reexecuted_jobs >= 1
-        assert "journal degraded" in report.render()
+        assert report.store_write_errors == 1
+        # The failed publish left one job unrecorded: phase 3
+        # re-simulates it instead of resuming it.
+        assert report.reexecuted_jobs == 1
+        assert "store publish failed" in report.render()
 
 
 class TestFiguresChaos:
@@ -292,9 +312,9 @@ class TestGroupChaos:
         assert report.resume_exact
         assert report.failures == []
         assert report.mismatches == []
-        # The kill landed mid-group: at least one member was journaled
-        # before the fault, and resume re-ran only the rest.
-        assert report.journaled_before_kill == 1
+        # The kill landed mid-group: one member was stored before the
+        # fault, and resume re-ran only the rest.
+        assert report.published_before_kill == 1
         assert report.resumed_members == 1
         assert (report.reexecuted_members
                 == report.total_members - report.resumed_members)

@@ -1,9 +1,9 @@
 """Crash/resume tests: real SIGKILLs against driver and workers.
 
-The journal's contract is that a hard kill -- of a worker process or of
+The store's contract is that a hard kill -- of a worker process or of
 the whole driver -- costs at most the in-flight jobs: rerunning the same
-sweep against the same journal file resumes the completed jobs from disk
-and re-simulates only the rest, bit-identically.
+sweep against the same store resumes the completed jobs from disk and
+re-simulates only the rest, bit-identically.
 """
 
 import json
@@ -12,10 +12,11 @@ import signal
 import subprocess
 import sys
 
-from repro.exec import ParallelExecutor, SerialExecutor, build_jobs
+from repro.exec import (ArtifactStore, ParallelExecutor, SerialExecutor,
+                        build_jobs)
 from repro.exec.chaos import FAULT_WORKER_KILL, ChaosPlan, _install_in_worker
 from repro.exec.retry import RETRY_THEN_SKIP, STATUS_RESUMED, FailurePolicy
-from repro.sim.checkpoint import JobJournal
+from repro.exec.store import using_store
 
 JOBS = build_jobs(["gzip"], ["decrypt-only", "authen-then-commit",
                              "authen-then-issue"],
@@ -23,11 +24,11 @@ JOBS = build_jobs(["gzip"], ["decrypt-only", "authen-then-commit",
 
 # A driver that SIGKILLs itself after its first job completes -- the
 # harshest interruption a sweep can see (no atexit, no flush beyond what
-# the journal already forced).
+# the store already forced).
 _DRIVER = """
 import os, signal, sys
-from repro.exec import SerialExecutor, build_jobs
-from repro.sim.checkpoint import JobJournal
+from repro.exec import ArtifactStore, SerialExecutor, build_jobs
+from repro.exec.store import set_active_store
 
 jobs = build_jobs(["gzip"], ["decrypt-only", "authen-then-commit",
                              "authen-then-issue"],
@@ -37,15 +38,15 @@ def die_after_first(job, result, done, total):
     if done >= 1:
         os.kill(os.getpid(), signal.SIGKILL)
 
-SerialExecutor().run(jobs, journal=JobJournal(sys.argv[1]),
-                     progress=die_after_first)
+set_active_store(ArtifactStore(sys.argv[1]))
+SerialExecutor().run(jobs, progress=die_after_first)
 raise SystemExit("driver outlived its own SIGKILL")
 """
 
 
 class TestDriverCrashResume:
     def test_sigkilled_driver_resumes_bit_identical(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
+        path = tmp_path / "store"
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [p for p in (env.get("PYTHONPATH"),) if p]
@@ -55,61 +56,68 @@ class TestDriverCrashResume:
             env=env, capture_output=True, timeout=120)
         assert proc.returncode == -signal.SIGKILL
 
-        # The kill landed after >= 1 completed job; the journal kept it.
-        journal = JobJournal(path)
-        completed = len(journal)
+        # The kill landed after >= 1 completed job; the store kept it.
+        store = ArtifactStore(path)
+        completed = store.stats()["tiers"]["results"]["entries"]
         assert 1 <= completed < len(JOBS)
-        assert journal.quarantined_lines == 0  # flush beat the kill
 
         resumed = SerialExecutor()
-        results = resumed.run(JOBS, journal=journal)
+        with using_store(store):
+            results = resumed.run(JOBS)
+        assert store.counters["quarantined"] == 0  # fsync beat the kill
         statuses = [resumed.last_outcomes[j.job_id].status for j in JOBS]
         assert statuses.count(STATUS_RESUMED) == completed
 
-        clean = SerialExecutor().run(JOBS)
+        with using_store(None):
+            clean = SerialExecutor().run(JOBS)
         for job in JOBS:
             assert results[job].cycles == clean[job].cycles
             assert results[job].stats.as_dict() == \
                 clean[job].stats.as_dict()
 
     def test_torn_tail_after_kill_is_quarantined(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        SerialExecutor().run(JOBS[:2], journal=JobJournal(path))
-        # Replay a kill mid-append: binary-truncate the last record.
-        data = path.read_bytes().rstrip(b"\n")
-        cut = data.rfind(b"\n") + 1
-        path.write_bytes(data[:cut + (len(data) - cut) // 2])
+        store = ArtifactStore(tmp_path / "store")
+        with using_store(store):
+            SerialExecutor().run(JOBS[:2])
+        # Replay a torn write: binary-truncate the second record.
+        path = store.result_path(JOBS[1])
+        with open(path, "r+b") as handle:
+            handle.truncate(os.path.getsize(path) // 2)
 
-        journal = JobJournal(path)
-        assert journal.quarantined_lines == 1
-        assert len(journal) == 1
-        rej = json.loads(
-            (tmp_path / "journal.jsonl.rej").read_text().splitlines()[0])
+        resumed = SerialExecutor()
+        with using_store(store):
+            results = resumed.run(JOBS)
+        assert store.counters["quarantined"] == 1
+        assert [resumed.last_outcomes[j.job_id].status
+                for j in JOBS].count(STATUS_RESUMED) == 1
+        with open(os.path.join(store.root, "quarantine.rej")) as handle:
+            rej = json.loads(handle.read().splitlines()[0])
         assert "unparseable" in rej["reason"]
 
-        results = SerialExecutor().run(JOBS, journal=journal)
-        clean = SerialExecutor().run(JOBS)
+        with using_store(None):
+            clean = SerialExecutor().run(JOBS)
         for job in JOBS:
             assert results[job].cycles == clean[job].cycles
 
 
 class TestWorkerCrashResume:
     def test_sigkilled_worker_heals_and_journals(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
+        store = ArtifactStore(tmp_path / "store")
         plan = ChaosPlan(0, {JOBS[1].job_id: FAULT_WORKER_KILL})
         policy = FailurePolicy(mode=RETRY_THEN_SKIP, max_attempts=4,
                                backoff_base=0.0, jitter=0.0)
-        with ParallelExecutor(2, initializer=_install_in_worker,
-                              initargs=(plan,)) as executor:
-            results = executor.run(JOBS, journal=JobJournal(path),
-                                   failure_policy=policy)
+        with using_store(store), ParallelExecutor(
+                2, initializer=_install_in_worker,
+                initargs=(plan,)) as executor:
+            results = executor.run(JOBS, failure_policy=policy)
             assert executor.rebuilds >= 1
         assert set(results) == set(JOBS)
         assert executor.failures == {}
 
-        # Everything the faulty run journaled resumes bit-identically.
+        # Everything the faulty run published resumes bit-identically.
         resumed = SerialExecutor()
-        after = resumed.run(JOBS, journal=JobJournal(path))
+        with using_store(store):
+            after = resumed.run(JOBS)
         for job in JOBS:
             assert resumed.last_outcomes[job.job_id].status == \
                 STATUS_RESUMED

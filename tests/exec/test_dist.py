@@ -3,8 +3,8 @@
 Everything here runs on one machine -- worker daemons are plain
 threads or child processes sharing a tmp_path spool -- but the
 protocol under test is the cross-host one: exclusive lease claims,
-heartbeats, per-host journal segments, driver-side merge, and the
-failure ladder (worker error -> retry -> skip; lost host -> lease
+heartbeats, publication into the spool's shared store, driver-side
+settling, and the failure ladder (worker error -> retry -> skip; lost host -> lease
 reaped, unit re-claimed; empty fleet -> degrade to local).  The
 invariant every test holds is the repo-wide one: results bit-identical
 to ``SerialExecutor``.
@@ -18,6 +18,7 @@ import time
 import pytest
 
 from repro.exec import (
+    ArtifactStore,
     DistExecutor,
     SerialExecutor,
     build_job_groups,
@@ -26,18 +27,22 @@ from repro.exec import (
 )
 from repro.exec.chaos import result_digest, run_dist_chaos
 from repro.exec.dist import (
-    JournalTail,
-    completed_job_ids,
     ensure_spool,
     lease_age,
+    read_census,
     release_lease,
     request_stop,
-    segment_path,
     spool_jobs,
+    spool_store_root,
     try_claim,
 )
-from repro.exec.retry import RETRY_THEN_SKIP, FailurePolicy
-from repro.sim.checkpoint import JobJournal
+from repro.exec.retry import (
+    RETRY_THEN_SKIP,
+    STATUS_OK,
+    STATUS_RESUMED,
+    FailurePolicy,
+)
+from repro.exec.store import using_store
 
 N = 800
 WARMUP = 400
@@ -58,8 +63,16 @@ def _groups():
 @pytest.fixture(scope="module")
 def reference():
     jobs = _jobs()
-    results = SerialExecutor().run(jobs)
+    with using_store(None):
+        results = SerialExecutor().run(jobs)
     return {job.job_id: result_digest(results[job]) for job in jobs}
+
+
+@pytest.fixture(autouse=True)
+def no_active_store():
+    """Drivers here use the spool's own store, whatever ran before."""
+    with using_store(None):
+        yield
 
 
 def _assert_identical(results, reference):
@@ -92,39 +105,17 @@ class TestSpoolProtocol:
                              lease_timeout=1.0, max_units=1)
         assert summary["units"] == 1
         assert summary["members"] == len(POLICIES)
-        done = completed_job_ids(spool)
-        assert len(done) == len(POLICIES)
+        # With no driver yet, results land in the spool's own store.
+        store = ArtifactStore(spool_store_root(spool))
+        assert store.stats()["tiers"]["results"]["entries"] == \
+            len(POLICIES)
+        census, _ = read_census(spool)["solo"]
+        assert census["jobs_done"] == 1
+        assert census["members_done"] == len(POLICIES)
         # The claimed unit's job file is gone, its lease released.
         remaining = os.listdir(os.path.join(spool, "jobs"))
         assert len(remaining) == len(groups) - 1
         assert os.listdir(os.path.join(spool, "leases")) == []
-
-
-class TestJournalTail:
-    def test_incremental_polls_and_torn_tail(self, tmp_path):
-        jobs = _jobs()[:2]
-        results = SerialExecutor().run(jobs)
-        path = str(tmp_path / "seg.journal")
-        journal = JobJournal(path)
-        journal.record(jobs[0], results[jobs[0]])
-        tail = JournalTail(path)
-        first = tail.poll()
-        assert [r["job_id"] for r in first] == [jobs[0].job_id]
-        assert tail.poll() == []          # nothing new
-        journal.record(jobs[1], results[jobs[1]])
-        assert [r["job_id"] for r in tail.poll()] == [jobs[1].job_id]
-
-    def test_unterminated_line_waits_corrupt_line_counts(self, tmp_path):
-        path = str(tmp_path / "seg.journal")
-        tail = JournalTail(path)
-        assert tail.poll() == []          # missing file: nothing yet
-        with open(path, "ab") as handle:
-            handle.write(b'{"journal_version": 2, "job_id": "half')
-        assert tail.poll() == []          # write in flight: wait
-        with open(path, "ab") as handle:
-            handle.write(b'"}\n')
-        assert tail.poll() == []          # complete but CRC-less
-        assert tail.bad_lines == 1
 
 
 class TestDistExecutor:
@@ -146,7 +137,8 @@ class TestDistExecutor:
         _assert_identical(results, reference)
         assert not executor.degraded
         assert "thread-a" in executor.hosts_seen
-        assert os.path.exists(segment_path(spool, "thread-a"))
+        census, _ = read_census(spool)["thread-a"]
+        assert census["members_done"] == len(reference)
         assert executor.describe()["backend"] == "dist"
 
     def test_degrades_to_local_when_no_worker_appears(
@@ -164,13 +156,31 @@ class TestDistExecutor:
         jobs = _jobs()
         seeded = jobs[0]
         result = SerialExecutor().run([seeded])[seeded]
-        JobJournal(segment_path(spool, "pre")).record(seeded, result)
+        ArtifactStore(spool_store_root(spool)).save_result(seeded, result)
         executor = DistExecutor(spool, poll=0.01, lease_timeout=0.5,
                                 degrade_after=0.1)
         results = executor.run(_groups())
         _assert_identical(results, reference)
-        tail = JournalTail(segment_path(spool, "pre"))
-        assert [r["job_id"] for r in tail.poll()] == [seeded.job_id]
+        statuses = {job_id: outcome.status for job_id, outcome
+                    in executor.last_outcomes.items()}
+        assert statuses.pop(seeded.job_id) == STATUS_RESUMED
+        assert set(statuses.values()) == {STATUS_OK}
+
+    def test_warm_rerun_spools_nothing(self, tmp_path, reference):
+        spool = str(tmp_path / "spool")
+        DistExecutor(spool, poll=0.01, lease_timeout=0.5,
+                     degrade_after=0.1).run(_groups())
+        # policy.json is rewritten whenever a run spools anything.
+        os.unlink(os.path.join(spool, "policy.json"))
+        executor = DistExecutor(spool, poll=0.01, lease_timeout=0.5,
+                                degrade_after=0.1)
+        results = executor.run(_groups())
+        _assert_identical(results, reference)
+        assert {outcome.status for outcome
+                in executor.last_outcomes.values()} == {STATUS_RESUMED}
+        assert not executor.degraded
+        assert not os.path.exists(os.path.join(spool, "policy.json"))
+        assert os.listdir(os.path.join(spool, "jobs")) == []
 
     def test_worker_errors_charge_retries_then_skip(self, tmp_path):
         spool = str(tmp_path / "spool")
@@ -200,8 +210,8 @@ class TestDistExecutor:
             assert time.monotonic() < deadline
             time.sleep(0.01)
         # Two reported attempt failures exhaust max_attempts=2; the
-        # other unit is satisfied from a worker segment so the run
-        # can finish without any live host.
+        # other unit is settled from the helper's published results so
+        # the run can finish without any live host.
         others = [g for g in groups if g.job_id != victim_id]
         worker = threading.Thread(
             target=run_worker, args=(spool,),
@@ -235,6 +245,20 @@ class TestDistChaos:
         assert report.host_losses >= 1
         assert report.victim_records >= 1
         assert report.exactly_once
-        assert report.split_quarantined == 1
-        assert report.split_resumed == report.total_members
         assert report.degraded_ok
+
+
+class TestSharedStore:
+    def test_worker_refuses_a_driver_store_it_cannot_see(self, tmp_path):
+        spool = ensure_spool(tmp_path / "spool")
+        spool_jobs(spool, _groups()[:1])
+        with open(os.path.join(spool, "policy.json"), "w") as handle:
+            json.dump({"timeout": None,
+                       "store": str(tmp_path / "elsewhere")}, handle)
+        summary = run_worker(spool, host_id="blind", poll=0.01,
+                             lease_timeout=1.0, idle_exit=0.2)
+        assert summary["members"] == 0 and summary["errors"] >= 1
+        assert not (tmp_path / "elsewhere").exists()
+        errors = os.listdir(os.path.join(spool, "errors"))
+        with open(os.path.join(spool, "errors", errors[0])) as handle:
+            assert "not visible on this host" in handle.read()

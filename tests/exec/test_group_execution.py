@@ -2,23 +2,24 @@
 
 One :class:`MultiPolicySimJob` must be observably indistinguishable
 from the N plain jobs it replaces: identical member job_ids, identical
-results on every backend, journal-compatible resume that re-runs only
-unfinished members, and cache accounting that credits the in-group
+results on every backend, store resume that re-runs only unfinished
+members, and cache accounting that credits the in-group
 trace reuse.
 """
 
 import pytest
 
 from repro.exec import (
+    ArtifactStore,
     ParallelExecutor,
     SerialExecutor,
     TraceCache,
     build_job_groups,
     build_jobs,
 )
+from repro.exec.store import using_store
 from repro.exec.job import MultiPolicySimJob
 from repro.exec.retry import STATUS_OK, STATUS_RESUMED
-from repro.sim.checkpoint import JobJournal
 
 BENCHMARKS = ("gzip", "mcf")
 POLICIES = ("decrypt-only", "authen-then-commit", "authen-then-issue",
@@ -89,17 +90,17 @@ class TestGroupedExecutionParity:
 
 class TestGroupResume:
     def test_journaled_members_resume(self, tmp_path, plain_results):
-        path = tmp_path / "journal.jsonl"
-        journal = JobJournal(path)
-        # Pre-seed the journal with half of the first group's members,
+        store = ArtifactStore(tmp_path / "store")
+        # Pre-seed the store with half of the first group's members,
         # as a plain per-job sweep would have written them.
         seeded = GROUPS[0].member_jobs[:2]
         for member in seeded:
-            journal.record(member, plain_results[
+            store.save_result(member, plain_results[
                 next(j for j in plain_results if j.job_id
                      == member.job_id)])
         executor = SerialExecutor()
-        results = executor.run(GROUPS, journal=JobJournal(path))
+        with using_store(store):
+            results = executor.run(GROUPS)
         # Full result set comes back...
         assert {job.job_id for job in results} == \
             {job.job_id for job in PLAIN}
@@ -116,10 +117,10 @@ class TestGroupResume:
             assert result.cycles == by_id[member.job_id].cycles
 
     def test_rerun_after_full_journal_executes_nothing(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        SerialExecutor().run(GROUPS, journal=JobJournal(path))
-        executor = SerialExecutor()
-        results = executor.run(GROUPS, journal=JobJournal(path))
+        with using_store(ArtifactStore(tmp_path / "store")):
+            SerialExecutor().run(GROUPS)
+            executor = SerialExecutor()
+            results = executor.run(GROUPS)
         assert len(results) == len(PLAIN)
         assert all(outcome.status == STATUS_RESUMED
                    for outcome in executor.last_outcomes.values())

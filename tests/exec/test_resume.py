@@ -1,11 +1,19 @@
-"""Checkpoint-journal resume tests: skip completed jobs, rebuild results."""
+"""Resume tests: the store's result tier skips completed jobs.
+
+The artifact store's result tier is the one durable record of finished
+work: an executor asks it once per job before anything runs, resumes
+every job it holds, and publishes every fresh completion.
+"""
 
 import json
+import os
 
 import pytest
 
-from repro.exec import SerialExecutor, build_jobs
-from repro.sim.checkpoint import JOURNAL_VERSION, JobJournal
+from repro.exec import ArtifactStore, SerialExecutor, build_jobs
+from repro.exec.chaos import result_digest
+from repro.exec.retry import STATUS_OK, STATUS_RESUMED
+from repro.exec.store import RESULT_VERSION, active_store, using_store
 from repro.util.statistics import StatGroup
 
 JOBS = build_jobs(["gzip"], ["decrypt-only", "authen-then-commit"],
@@ -24,15 +32,25 @@ class CountingExecutor(SerialExecutor):
         super()._execute(pending, results, state)
 
 
+@pytest.fixture
+def store(tmp_path):
+    """A fresh store, active for the test."""
+    with using_store(ArtifactStore(tmp_path / "store")) as active:
+        yield active
+
+
+def _entries(store):
+    return sorted(path for path, _ in store._entries("results"))
+
+
 class TestJournalResume:
-    def test_completed_jobs_are_skipped(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
+    def test_completed_jobs_are_skipped(self, store):
         first = CountingExecutor()
-        before = first.run(JOBS, journal=JobJournal(path))
+        before = first.run(JOBS)
         assert first.executed == len(JOBS)
 
         second = CountingExecutor()
-        after = second.run(JOBS, journal=JobJournal(path))
+        after = second.run(JOBS)
         assert second.executed == 0
         for job in JOBS:
             assert after[job].cycles == before[job].cycles
@@ -41,28 +59,25 @@ class TestJournalResume:
                 before[job].stats.as_dict()
             assert after[job].miss_summary == before[job].miss_summary
 
-    def test_partial_journal_runs_only_the_rest(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        CountingExecutor().run(JOBS[:1], journal=JobJournal(path))
+    def test_partial_journal_runs_only_the_rest(self, store):
+        CountingExecutor().run(JOBS[:1])
 
         resumed = CountingExecutor()
-        results = resumed.run(JOBS, journal=JobJournal(path))
+        results = resumed.run(JOBS)
         assert resumed.executed == len(JOBS) - 1
         assert set(results) == set(JOBS)
 
-    def test_changed_spec_changes_id_and_reruns(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        CountingExecutor().run(JOBS, journal=JobJournal(path))
+    def test_changed_spec_changes_id_and_reruns(self, store):
+        CountingExecutor().run(JOBS)
         bigger = build_jobs(["gzip"], ["decrypt-only"],
                             num_instructions=700, warmup=300)
         rerun = CountingExecutor()
-        rerun.run(bigger, journal=JobJournal(path))
+        rerun.run(bigger)
         assert rerun.executed == 1  # different job_id -> not skipped
 
-    def test_rebuilt_stats_are_live_statgroups(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        SerialExecutor().run(JOBS, journal=JobJournal(path))
-        result = JobJournal(path).result(JOBS[1])
+    def test_rebuilt_stats_are_live_statgroups(self, store):
+        SerialExecutor().run(JOBS)
+        result = store.load_result(JOBS[1])
         assert isinstance(result.stats, StatGroup)
         assert result.stats["auth_requests"].value > 0
         # Histogram bucket keys survive the JSON round trip as ints.
@@ -71,30 +86,29 @@ class TestJournalResume:
         assert all(isinstance(k, int) for k in gap.buckets)
         assert gap.mean() > 0
 
-    def test_truncated_trailing_line_is_ignored(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        SerialExecutor().run(JOBS, journal=JobJournal(path))
-        with open(path, "a") as handle:
-            handle.write('{"journal_version": %d, "job_id": "dead'
-                         % JOURNAL_VERSION)  # killed mid-write
-        journal = JobJournal(path)
-        assert len(journal) == len(JOBS)
-        assert journal.skipped_lines == 1
+    def test_truncated_trailing_line_is_ignored(self, store):
+        SerialExecutor().run(JOBS)
+        path = store.result_path(JOBS[0])
+        with open(path, "r+b") as handle:   # a torn write
+            handle.truncate(os.path.getsize(path) // 2)
+        rerun = CountingExecutor()
+        rerun.run(JOBS)
+        assert rerun.executed == 1
+        assert store.counters["quarantined"] == 1
 
-    def test_incompatible_version_lines_are_ignored(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        record = {"journal_version": JOURNAL_VERSION + 1,
-                  "job_id": JOBS[0].job_id}
-        path.write_text(json.dumps(record) + "\n")
-        journal = JobJournal(path)
-        assert len(journal) == 0
-        assert journal.skipped_lines == 1
-        assert journal.result(JOBS[0]) is None
+    def test_incompatible_version_lines_are_ignored(self, store):
+        SerialExecutor().run(JOBS[:1])
+        path = store.result_path(JOBS[0])
+        with open(path) as handle:
+            record = json.load(handle)
+        record["store_version"] = RESULT_VERSION + 1
+        with open(path, "w") as handle:
+            json.dump(record, handle)
+        assert store.load_result(JOBS[0]) is None
 
     def test_result_none_for_unknown_job(self, tmp_path):
-        journal = JobJournal(tmp_path / "missing.jsonl")
-        assert journal.result(JOBS[0]) is None
-        assert len(journal) == 0
+        assert ArtifactStore(tmp_path / "empty").load_result(JOBS[0]) \
+            is None
 
 
 class TestStatGroupFromDict:
@@ -116,84 +130,136 @@ class TestStatGroupFromDict:
 
 
 class TestJournalIntegrity:
-    """v2 hardening: CRC32 seals, quarantine sidecar, compaction."""
+    """CRC32-sealed result entries: corruption is quarantined."""
 
-    def _flip_crc_protected_digit(self, line):
+    def _flip_crc_protected_digit(self, text):
         # Flip a digit INSIDE the cycles value (never its first digit,
         # which could make invalid leading-zero JSON and take the
         # unparseable path instead of the CRC path this test pins).
-        at = line.find('"cycles": ') + len('"cycles": ') + 1
-        assert line[at].isdigit()
-        return line[:at] + chr(ord(line[at]) ^ 1) + line[at + 1:]
+        at = text.find('"cycles": ') + len('"cycles": ') + 1
+        assert text[at].isdigit()
+        return text[:at] + chr(ord(text[at]) ^ 1) + text[at + 1:]
 
-    def test_bitflip_caught_by_crc_and_quarantined(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        SerialExecutor().run(JOBS, journal=JobJournal(path))
-        lines = path.read_text().splitlines()
-        lines[0] = self._flip_crc_protected_digit(lines[0])
-        path.write_text("\n".join(lines) + "\n")
+    def test_bitflip_caught_by_crc_and_quarantined(self, store):
+        SerialExecutor().run(JOBS)
+        path = store.result_path(JOBS[0])
+        with open(path) as handle:
+            text = handle.read()
+        with open(path, "w") as handle:
+            handle.write(self._flip_crc_protected_digit(text))
 
-        journal = JobJournal(path)
-        assert journal.quarantined_lines == 1
-        assert len(journal) == len(JOBS) - 1
-        rej = json.loads(
-            (tmp_path / "journal.jsonl.rej").read_text().splitlines()[0])
-        assert "crc32 mismatch" in rej["reason"]
-        # The journal itself was rewritten clean: reopening sees no
-        # corruption and the sidecar preserves the evidence.
-        assert JobJournal(path).skipped_lines == 0
+        assert store.load_result(JOBS[0]) is None
+        assert store.counters["quarantined"] == 1
+        assert store.load_result(JOBS[1]) is not None
+        with open(os.path.join(store.root, "quarantine.rej")) as handle:
+            rej = json.loads(handle.read().splitlines()[0])
+        assert "crc32" in rej["reason"]
+        # The evidence moved aside; the entry's slot is free again.
+        assert not os.path.exists(path)
+        assert os.path.exists(os.path.join(
+            store.root, "quarantine", os.path.basename(path)))
 
-    def test_missing_crc_is_quarantined(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        record = {"journal_version": JOURNAL_VERSION, "job_id": "abc"}
-        path.write_text(json.dumps(record) + "\n")
-        journal = JobJournal(path)
-        assert journal.quarantined_lines == 1
-        assert len(journal) == 0
+    def test_missing_crc_is_quarantined(self, store):
+        SerialExecutor().run(JOBS[:1])
+        path = store.result_path(JOBS[0])
+        with open(path) as handle:
+            record = json.load(handle)
+        del record["crc32"]
+        with open(path, "w") as handle:
+            json.dump(record, handle)
+        assert store.load_result(JOBS[0]) is None
+        assert store.counters["quarantined"] == 1
 
-    def test_incompatible_lines_survive_on_disk(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        foreign = json.dumps({"journal_version": JOURNAL_VERSION + 1,
-                              "job_id": "future"})
-        path.write_text(foreign + "\n")
-        SerialExecutor().run(JOBS[:1], journal=JobJournal(path))
-        # Ignored in place -- a newer build's records are not destroyed.
-        journal = JobJournal(path)
-        assert journal.incompatible_lines == 1
-        assert foreign in path.read_text()
+    def test_incompatible_lines_survive_on_disk(self, store):
+        SerialExecutor().run(JOBS[:1])
+        path = store.result_path(JOBS[0])
+        with open(path) as handle:
+            record = json.load(handle)
+        record["store_version"] = RESULT_VERSION + 1
+        foreign = json.dumps(record)
+        with open(path, "w") as handle:
+            handle.write(foreign)
+        rerun = CountingExecutor()
+        rerun.run(JOBS[:1])
+        assert rerun.executed == 1
+        # Set aside in quarantine, not destroyed.
+        with open(os.path.join(store.root, "quarantine",
+                               os.path.basename(path))) as handle:
+            assert handle.read() == foreign
 
-    def test_metrics_round_trip(self, tmp_path):
+    def test_metrics_round_trip(self, store):
         from repro.sim.metrics import RunMetrics
 
-        path = tmp_path / "journal.jsonl"
-        live = SerialExecutor().run(JOBS, journal=JobJournal(path))
+        live = SerialExecutor().run(JOBS)
         for job in JOBS:
-            rebuilt = JobJournal(path).result(job)
+            rebuilt = store.load_result(job)
             assert isinstance(rebuilt.metrics, RunMetrics)
             assert rebuilt.metrics.as_dict() == \
                 live[job].metrics.as_dict()
 
-    def test_compact_drops_stale_and_foreign_lines(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        path.write_text(json.dumps(
-            {"journal_version": JOURNAL_VERSION - 1, "job_id": "old"})
-            + "\n")
-        SerialExecutor().run(JOBS, journal=JobJournal(path))
 
-        journal = JobJournal(path)
-        keep = {JOBS[0].job_id}
-        dropped = journal.compact(keep_ids=keep)
-        assert dropped == 2  # one foreign line + one superseded record
-        assert journal.completed_ids == keep
-        reopened = JobJournal(path)
-        assert reopened.completed_ids == keep
-        assert reopened.skipped_lines == 0
-        assert reopened.result(JOBS[0]).cycles > 0
+class TestCodeVersionGap:
+    """Store keys carry ``code_fingerprint("result")``: a rerun after a
+    timing-model edit re-simulates instead of mixing code versions."""
 
-    def test_compact_without_keep_ids_keeps_all_records(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        SerialExecutor().run(JOBS, journal=JobJournal(path))
-        journal = JobJournal(path)
-        assert journal.compact() == 0
-        assert JobJournal(path).completed_ids == \
-            {job.job_id for job in JOBS}
+    def test_new_fingerprint_resimulates_every_job(self, tmp_path,
+                                                    monkeypatch, capsys):
+        from repro.cli import main
+        from repro.exec.store import STORE_ENV
+
+        root = str(tmp_path / "store")
+        # The CLI exports the store root for pool workers; setenv makes
+        # the test restore the environment afterwards.
+        monkeypatch.setenv(STORE_ENV, root)
+        manifest = tmp_path / "sweep.json"
+        argv = ["sweep", "gzip", "-p", "authen-then-commit", "-n", "600",
+                "--warmup", "300", "--store", root,
+                "--emit-json", str(manifest)]
+        with using_store(None):
+            assert main(argv) == 0
+            cold = json.loads(manifest.read_text())
+            assert {run["status"] for run in cold["runs"]} == {STATUS_OK}
+            assert main(argv) == 0
+            rerun = json.loads(manifest.read_text())
+            assert {run["status"] for run in rerun["runs"]} == \
+                {STATUS_RESUMED}
+            monkeypatch.setattr("repro.exec.store.code_fingerprint",
+                                lambda kind: "e" * 16)
+            assert main(argv) == 0
+            edited = json.loads(manifest.read_text())
+        assert {run["status"] for run in edited["runs"]} == {STATUS_OK}
+        assert all(run["accounting"]["store_hit"] is False
+                   for run in edited["runs"])
+        assert [run["cycles"] for run in edited["runs"]] == \
+            [run["cycles"] for run in cold["runs"]]
+
+    def test_killed_sweep_reruns_only_unfinished_jobs(self, store):
+        jobs = build_jobs(["gzip", "mcf"],
+                          ["decrypt-only", "authen-then-commit"],
+                          num_instructions=600, warmup=300)
+        with using_store(None):
+            clean = SerialExecutor().run(jobs)
+
+        class Killed(BaseException):
+            """Stands in for SIGKILL: nothing handles it."""
+
+        def kill_after(count):
+            def progress(job, result, done, total):
+                if done == count:
+                    raise Killed()
+            return progress
+
+        with pytest.raises(Killed):
+            SerialExecutor().run(jobs, progress=kill_after(2))
+        assert len(_entries(store)) == 2
+
+        rerun = SerialExecutor()
+        results = rerun.run(jobs)
+        statuses = {job_id: outcome.status
+                    for job_id, outcome in rerun.last_outcomes.items()}
+        assert sorted(statuses.values()) == \
+            [STATUS_OK, STATUS_OK, STATUS_RESUMED, STATUS_RESUMED]
+        assert active_store() is store
+        for job in jobs:
+            assert result_digest(results[job]) == \
+                result_digest(clean[job])

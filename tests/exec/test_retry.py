@@ -10,14 +10,15 @@ from repro.exec import (
     STATUS_FAILED,
     STATUS_OK,
     STATUS_RESUMED,
+    ArtifactStore,
     FailurePolicy,
     SerialExecutor,
     build_jobs,
     set_attempt_hook,
 )
+from repro.exec.store import using_store
 from repro.obs import MemorySink, Tracer
 from repro.obs.events import JOB_FAILED, JOB_RETRY
-from repro.sim.checkpoint import JobJournal
 
 JOBS = build_jobs(["gzip"], ["decrypt-only", "authen-then-commit"],
                   num_instructions=600, warmup=300)
@@ -188,10 +189,10 @@ class TestSerialFailurePolicy:
                          failure_policy=FailurePolicy(timeout=0.2))
 
     def test_resumed_jobs_report_zero_attempts(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        SerialExecutor().run(JOBS, journal=JobJournal(path))
         executor = SerialExecutor()
-        executor.run(JOBS, journal=JobJournal(path))
+        with using_store(ArtifactStore(tmp_path / "store")):
+            SerialExecutor().run(JOBS)
+            executor.run(JOBS)
         for job in JOBS:
             outcome = executor.last_outcomes[job.job_id]
             assert outcome.status == STATUS_RESUMED

@@ -148,8 +148,11 @@ class TestColdWarmIdentity:
         cold = SerialExecutor(cache=TraceCache()).run(JOBS)
         with ParallelExecutor(2) as executor:
             warm = executor.run(JOBS)
+            # Every job resumed in the driver: no pool was ever started.
+            assert executor._pool is None
         for job in JOBS:
             assert result_digest(warm[job]) == result_digest(cold[job])
+            assert executor.last_outcomes[job.job_id].status == "resumed"
 
     def test_grouped_cold_warm_identical(self, active):
         groups = build_job_groups(["gzip", "mcf"],
@@ -562,7 +565,7 @@ class TestIterResults:
         assert list(store.iter_results()) == []
 
     def test_stale_fingerprints_filtered_unless_asked(self, store):
-        from repro.sim.checkpoint import _record_crc
+        from repro.exec.store import _record_crc
 
         job = JOBS[0]
         assert store.save_result(job, execute_job(job))

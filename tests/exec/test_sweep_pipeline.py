@@ -4,15 +4,26 @@ import json
 
 import pytest
 
-from repro.exec import ParallelExecutor, SerialExecutor
+from repro.exec import ArtifactStore, ParallelExecutor, SerialExecutor
+from repro.exec.store import using_store
+from repro.exec.retry import STATUS_RESUMED
+from repro.exec.store import STORE_ENV
 from repro.obs.export import build_sweep_manifest
-from repro.sim.checkpoint import JobJournal, sweep_to_dict
 from repro.sim.sweep import BASELINE, PolicySweep
 
 
 def small_sweep():
     return PolicySweep(["gzip"], ["authen-then-commit"],
                        num_instructions=600, warmup=300)
+
+
+@pytest.fixture
+def cli_store(tmp_path, monkeypatch):
+    """A ``--store`` root for CLI runs; process state restored after."""
+    root = str(tmp_path / "store")
+    monkeypatch.setenv(STORE_ENV, root)   # restored on teardown
+    with using_store(None):
+        yield root
 
 
 class TestBaselineOrdering:
@@ -43,10 +54,6 @@ class TestBaselineOrdering:
         assert {run["policy"] for run in manifest["runs"]} == \
             {"authen-then-commit", BASELINE}
 
-    def test_checkpoint_reflects_injected_baseline(self):
-        payload = sweep_to_dict(small_sweep().run())
-        assert payload["policies"] == ["authen-then-commit", BASELINE]
-
 
 class TestManifestJobMetadata:
     def test_job_ids_and_backend_recorded(self):
@@ -55,10 +62,6 @@ class TestManifestJobMetadata:
         assert manifest["backend"] == {"backend": "serial", "jobs": 1}
         ids = [run["job_id"] for run in manifest["runs"]]
         assert all(ids) and len(set(ids)) == len(ids)
-
-    def test_checkpoint_carries_job_ids(self):
-        payload = sweep_to_dict(small_sweep().run())
-        assert all(run["job_id"] for run in payload["runs"])
 
 
 class TestBackendEquivalence:
@@ -73,9 +76,11 @@ class TestBackendEquivalence:
                 result.stats.as_dict()
 
     def test_sweep_journal_resume(self, tmp_path):
-        path = tmp_path / "sweep.jsonl"
-        first = small_sweep().run(journal=JobJournal(path))
-        resumed = small_sweep().run(journal=JobJournal(path))
+        with using_store(ArtifactStore(tmp_path / "store")):
+            first = small_sweep().run()
+            resumed = small_sweep().run()
+        assert {outcome.status for outcome
+                in resumed.job_outcomes.values()} == {STATUS_RESUMED}
         for key in first.results:
             assert resumed.results[key].cycles == first.results[key].cycles
 
@@ -100,18 +105,16 @@ class TestSweepCli:
         assert all(run["job_id"] for run in manifest["runs"])
         assert csv_path.read_text().startswith("benchmark,policy")
 
-    def test_sweep_command_checkpoint_resume(self, capsys, tmp_path):
+    def test_sweep_command_checkpoint_resume(self, capsys, cli_store):
         from repro.cli import main
 
-        journal = tmp_path / "journal.jsonl"
         args = ["sweep", "gzip", "-p", "authen-then-commit",
-                "-n", "600", "--warmup", "300",
-                "--checkpoint", str(journal)]
+                "-n", "600", "--warmup", "300", "--store", cli_store]
         assert main(args) == 0
-        capsys.readouterr()
+        assert "resumed" not in capsys.readouterr().out
         assert main(args) == 0
         out = capsys.readouterr().out
-        assert "2 completed job(s) will be skipped" in out
+        assert "2 resumed from the store" in out
 
     def test_sweep_command_parallel_matches_serial(self, capsys):
         from repro.cli import main
@@ -260,38 +263,20 @@ class TestSweepFaultTolerance:
         assert code == 0
         assert attempts_seen == [1, 2]
 
-    def test_cli_compact_requires_checkpoint(self, capsys):
+    def test_cli_reports_quarantined_lines(self, capsys, cli_store):
+        import os
+
         from repro.cli import main
 
-        assert main(["sweep", "gzip", "-n", "600", "--warmup", "300",
-                     "--compact"]) == 2
-        assert "--compact requires" in capsys.readouterr().err
-
-    def test_cli_compact_drops_superseded_records(self, capsys, tmp_path):
-        from repro.cli import main
-
-        journal = tmp_path / "journal.jsonl"
-        base = ["sweep", "gzip", "-n", "600", "--warmup", "300",
-                "--checkpoint", str(journal)]
-        assert main(base + ["-p", "authen-then-commit"]) == 0
-        capsys.readouterr()
-        # A different grid supersedes authen-then-commit's record.
-        assert main(base + ["-p", "authen-then-write", "--compact"]) == 0
-        out = capsys.readouterr().out
-        assert "1 stale line(s) dropped" in out
-        assert "1 completed job(s) will be skipped" in out  # baseline
-
-    def test_cli_reports_quarantined_lines(self, capsys, tmp_path):
-        from repro.cli import main
-
-        journal = tmp_path / "journal.jsonl"
         args = ["sweep", "gzip", "-p", "authen-then-commit",
-                "-n", "600", "--warmup", "300",
-                "--checkpoint", str(journal)]
+                "-n", "600", "--warmup", "300", "--store", cli_store]
         assert main(args) == 0
-        with open(journal, "a") as handle:
-            handle.write('{"torn half-line\n')
+        results = os.path.join(cli_store, "results")
+        entry = os.path.join(results, sorted(os.listdir(results))[0])
+        with open(entry, "w") as handle:
+            handle.write('{"torn half-entry')
         capsys.readouterr()
         assert main(args) == 0
         out = capsys.readouterr().out
-        assert "quarantined 1 corrupt line(s)" in out
+        assert "quarantined 1 corrupt entry" in out
+        assert "1 resumed from the store" in out

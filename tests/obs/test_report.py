@@ -8,7 +8,6 @@ from repro.exec import RETRY_THEN_SKIP, FailurePolicy, set_attempt_hook
 from repro.obs.export import build_sweep_manifest, write_json
 from repro.obs.metrics import MetricsRegistry, write_metrics
 from repro.obs.report import build_report, render_report, sniff_kind
-from repro.sim.checkpoint import JobJournal
 from repro.sim.sweep import PolicySweep
 
 
@@ -28,7 +27,7 @@ def hook():
 def faulty_sweep(tmp_path, hook):
     """A 2x2 sweep with one retried job and one terminally skipped job.
 
-    Returns (sweep, manifest_path, metrics_path, journal_path).
+    Returns (sweep, manifest_path, metrics_path).
     """
     sweep = PolicySweep(["gzip", "mcf"], ["authen-then-commit"],
                         num_instructions=600, warmup=300)
@@ -48,9 +47,7 @@ def faulty_sweep(tmp_path, hook):
 
     hook(inject)
     metrics = MetricsRegistry()
-    journal_path = tmp_path / "sweep.journal"
-    sweep.run(journal=JobJournal(journal_path),
-              failure_policy=FailurePolicy(mode=RETRY_THEN_SKIP,
+    sweep.run(failure_policy=FailurePolicy(mode=RETRY_THEN_SKIP,
                                            max_attempts=2,
                                            backoff_base=0.0, jitter=0.0),
               metrics=metrics)
@@ -58,7 +55,7 @@ def faulty_sweep(tmp_path, hook):
     metrics_path = tmp_path / "metrics.json"
     write_json(build_sweep_manifest(sweep), manifest_path)
     write_metrics(metrics, metrics_path)
-    return sweep, manifest_path, metrics_path, journal_path
+    return sweep, manifest_path, metrics_path
 
 
 class TestSniffing:
@@ -75,8 +72,8 @@ class TestSniffing:
 
 class TestBuildReport:
     def test_faulty_sweep_report(self, tmp_path, hook):
-        sweep, manifest, metrics, journal = faulty_sweep(tmp_path, hook)
-        report = build_report([manifest, metrics], journal=journal)
+        sweep, manifest, metrics = faulty_sweep(tmp_path, hook)
+        report = build_report([manifest, metrics])
 
         # Both injected jobs count as retried: the healed one and the
         # doomed one (it got its second attempt before giving up).
@@ -91,7 +88,7 @@ class TestBuildReport:
             [(c["benchmark"], c["policy"]) for c in retried]
         assert len(retried) == 2
 
-        # Only completed jobs are journaled, so 3 costed entries.
+        # Only completed runs carry accounting, so 3 costed entries.
         assert len(report["slowest"]) == 3
         assert all(e["wall_seconds"] > 0 for e in report["slowest"])
         assert report["wall"]["count"] == 3
@@ -105,7 +102,7 @@ class TestBuildReport:
     def test_snapshot_job_count_matches_manifest(self, tmp_path, hook):
         # Acceptance: repro_jobs_total in the snapshot equals the
         # manifest's settled-job count (runs + terminal failures).
-        _, manifest_path, metrics_path, _ = faulty_sweep(tmp_path, hook)
+        _, manifest_path, metrics_path = faulty_sweep(tmp_path, hook)
         manifest = json.loads(manifest_path.read_text())
         snapshot = json.loads(metrics_path.read_text())
         jobs_total = sum(
@@ -115,9 +112,8 @@ class TestBuildReport:
             len(manifest["runs"]) + len(manifest["failures"])
 
     def test_render_report_text(self, tmp_path, hook):
-        _, manifest, metrics, journal = faulty_sweep(tmp_path, hook)
-        text = render_report(build_report([manifest, metrics],
-                                          journal=journal))
+        _, manifest, metrics = faulty_sweep(tmp_path, hook)
+        text = render_report(build_report([manifest, metrics]))
         assert "jobs: 4 total | 3 ok | 0 resumed | 1 failed | 2 retried" \
             in text
         assert "health by benchmark x policy:" in text
@@ -128,35 +124,37 @@ class TestBuildReport:
         assert "metrics snapshot:" in text
 
     def test_accounting_survives_journal_resume(self, tmp_path):
-        sweep = PolicySweep(["gzip"], ["authen-then-commit"],
-                            num_instructions=600, warmup=300)
-        sweep.run(journal=JobJournal(tmp_path / "j.journal"))
-        resumed = PolicySweep(["gzip"], ["authen-then-commit"],
-                              num_instructions=600, warmup=300)
-        metrics = MetricsRegistry()
-        resumed.run(journal=JobJournal(tmp_path / "j.journal"),
-                    metrics=metrics)
+        from repro.exec import ArtifactStore
+        from repro.exec.store import using_store
+
+        with using_store(ArtifactStore(tmp_path / "store")):
+            PolicySweep(["gzip"], ["authen-then-commit"],
+                        num_instructions=600, warmup=300).run()
+            resumed = PolicySweep(["gzip"], ["authen-then-commit"],
+                                  num_instructions=600, warmup=300)
+            metrics = MetricsRegistry()
+            resumed.run(metrics=metrics)
         for result in resumed.results.values():
             accounting = result.accounting
-            assert accounting["wall_seconds"] > 0
-            assert accounting["cache_hit"] in (True, False)
+            assert accounting["wall_seconds"] >= 0
+            assert accounting["store_hit"] is True
+            assert accounting["cache_hit"] is None
         # Resumed jobs land in the jobs counter under their own status.
         snapshot = metrics.snapshot()
         samples = snapshot["families"]["repro_jobs_total"]["samples"]
         assert {"labels": {"status": "resumed"}, "value": 2} in samples
 
     def test_empty_distributions_render_dashes(self, tmp_path):
-        # A v1-era journal record carries no accounting; the report
+        # A manifest written before runs carried accounting; the report
         # must say -- rather than invent zeros.
         sweep = PolicySweep(["gzip"], ["authen-then-commit"],
                             num_instructions=600, warmup=300)
         sweep.run()
-        journal = JobJournal(tmp_path / "old.journal")
-        for job in sweep.jobs():
-            result = sweep.results[(job.benchmark, job.policy)]
+        for result in sweep.results.values():
             result.accounting = None
-            journal.record(job, result)
-        report = build_report([], journal=tmp_path / "old.journal")
+        manifest = tmp_path / "old.json"
+        write_json(build_sweep_manifest(sweep), manifest)
+        report = build_report([manifest])
         assert report["slowest"] == []
         assert report["wall"]["count"] == 0
         assert report["wall"]["p50"] is None
@@ -164,20 +162,13 @@ class TestBuildReport:
         assert "wall time per job: n=0 mean=-- p50=-- p95=-- max=--" \
             in text
 
-    def test_missing_journal_is_an_error(self, tmp_path):
-        from repro.errors import ReproError
-
-        with pytest.raises(ReproError, match="journal not found"):
-            build_report([], journal=tmp_path / "nope.journal")
-
 
 class TestReportCli:
     def test_json_output(self, capsys, tmp_path, hook):
         from repro.cli import main
 
-        _, manifest, metrics, journal = faulty_sweep(tmp_path, hook)
-        code = main(["report", str(manifest), str(metrics),
-                     "--journal", str(journal), "--json"])
+        _, manifest, metrics = faulty_sweep(tmp_path, hook)
+        code = main(["report", str(manifest), str(metrics), "--json"])
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["kind"] == "report"
@@ -187,7 +178,7 @@ class TestReportCli:
     def test_text_output(self, capsys, tmp_path, hook):
         from repro.cli import main
 
-        _, manifest, _, _ = faulty_sweep(tmp_path, hook)
+        _, manifest, _ = faulty_sweep(tmp_path, hook)
         assert main(["report", str(manifest)]) == 0
         out = capsys.readouterr().out
         assert "run health report" in out
@@ -222,18 +213,15 @@ class TestReportCli:
                           workdir=tmp_path)
         chaos_json = tmp_path / "chaos.json"
         write_json(chaos.as_dict(), chaos_json)
-        journal = str(tmp_path / "chaos.journal")
-        assert main(["report", str(chaos_json),
-                     "--journal", journal]) == 0
+        assert main(["report", str(chaos_json)]) == 0
         out = capsys.readouterr().out
         assert "health by benchmark x policy:" in out
         assert "worker pool rebuilt" in out
         assert "chaos: injected worker-kill" in out
-        # Journal-supplied names: rows show benchmark/policy, not ids.
+        # The report's cell names: rows show benchmark/policy, not ids.
         assert "gzip" in out
 
-        assert main(["report", str(chaos_json), "--journal", journal,
-                     "--json"]) == 0
+        assert main(["report", str(chaos_json), "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["jobs"]["retried"] >= 1  # the killed job re-ran
         assert any("worker-kill" in d for d in report["degradations"])
@@ -241,14 +229,14 @@ class TestReportCli:
 
 class TestStoreReporting:
     def test_metrics_snapshot_fills_cache_evictions(self, tmp_path, hook):
-        _, manifest, metrics, journal = faulty_sweep(tmp_path, hook)
-        # The journal cannot know evictions (they are process-wide);
+        _, manifest, metrics = faulty_sweep(tmp_path, hook)
+        # A manifest cannot know evictions (they are process-wide);
         # the metrics snapshot fills them in instead of the old
         # hardcoded None.
-        with_metrics = build_report([manifest, metrics], journal=journal)
+        with_metrics = build_report([manifest, metrics])
         assert with_metrics["cache"]["evictions"] == 0
-        journal_only = build_report([manifest], journal=journal)
-        assert journal_only["cache"]["evictions"] is None
+        manifest_only = build_report([manifest])
+        assert manifest_only["cache"]["evictions"] is None
 
     def test_store_section_from_metrics_and_journal(self, tmp_path):
         from repro.exec import (ArtifactStore, SerialExecutor, TraceCache,
@@ -259,19 +247,17 @@ class TestStoreReporting:
         jobs = build_jobs(["gzip"],
                           ["decrypt-only", "authen-then-commit"],
                           num_instructions=600, warmup=300)
-        journal_path = tmp_path / "warm.journal"
         previous = set_active_store(store)
         try:
             SerialExecutor(cache=TraceCache()).run(jobs)   # cold
             SerialExecutor(cache=TraceCache()).run(        # warm
-                jobs, journal=JobJournal(journal_path),
-                metrics=registry)
+                jobs, metrics=registry)
         finally:
             set_active_store(previous)
         metrics_path = tmp_path / "metrics.json"
         write_metrics(registry, metrics_path)
 
-        report = build_report([metrics_path], journal=journal_path)
+        report = build_report([metrics_path])
         assert report["store"]["result_short_circuits"] == len(jobs)
         assert report["store"]["hits"] >= len(jobs)
         assert report["store"]["quarantined"] == 0

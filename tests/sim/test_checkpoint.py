@@ -1,123 +1,27 @@
-"""Sweep checkpoint (JSON persistence) tests."""
-
-import json
+"""Atomic write-then-rename: how every durable file reaches disk."""
 
 import pytest
 
-from repro.errors import CheckpointError
-from repro.sim.checkpoint import (
-    FORMAT_VERSION,
-    load_sweep,
-    save_sweep,
-    sweep_to_dict,
-)
-from repro.sim.sweep import PolicySweep
-
-
-@pytest.fixture(scope="module")
-def sweep():
-    return PolicySweep(["gzip"], ["authen-then-write"],
-                       num_instructions=2000, warmup=1000).run()
-
-
-class TestCheckpoint:
-    def test_dict_shape(self, sweep):
-        payload = sweep_to_dict(sweep)
-        assert payload["benchmarks"] == ["gzip"]
-        assert payload["format_version"] == FORMAT_VERSION
-        assert len(payload["runs"]) == 2  # policy + baseline
-        run = payload["runs"][0]
-        assert {"benchmark", "policy", "ipc", "cycles",
-                "instructions", "miss_rates", "stats"} <= set(run)
-
-    def test_stats_snapshot_persisted(self, sweep, tmp_path):
-        path = tmp_path / "sweep.json"
-        save_sweep(sweep, path)
-        view = load_sweep(path)
-        stats = view.stats("gzip", "authen-then-write")
-        assert stats["auth_requests"] > 0
-        assert "decrypt_verify_gap" in stats
-
-    def test_version_mismatch_raises_checkpoint_error(self, sweep,
-                                                      tmp_path):
-        payload = sweep_to_dict(sweep)
-        payload["format_version"] = FORMAT_VERSION + 1
-        path = tmp_path / "future.json"
-        path.write_text(json.dumps(payload))
-        with pytest.raises(CheckpointError, match="format_version"):
-            load_sweep(path)
-
-    def test_unversioned_seed_file_raises(self, sweep, tmp_path):
-        payload = sweep_to_dict(sweep)
-        del payload["format_version"]
-        path = tmp_path / "v1.json"
-        path.write_text(json.dumps(payload))
-        with pytest.raises(CheckpointError):
-            load_sweep(path)
-
-    def test_missing_key_raises_checkpoint_error(self, sweep, tmp_path):
-        payload = sweep_to_dict(sweep)
-        del payload["runs"]
-        path = tmp_path / "broken.json"
-        path.write_text(json.dumps(payload))
-        with pytest.raises(CheckpointError, match="missing key"):
-            load_sweep(path)
-
-    def test_roundtrip(self, sweep, tmp_path):
-        path = tmp_path / "sweep.json"
-        save_sweep(sweep, path)
-        view = load_sweep(path)
-        assert view.ipc("gzip", "authen-then-write") == pytest.approx(
-            sweep.ipc("gzip", "authen-then-write"))
-        assert view.normalized("gzip", "authen-then-write") == \
-            pytest.approx(sweep.normalized("gzip", "authen-then-write"))
-
-    def test_average_normalized_matches(self, sweep, tmp_path):
-        path = tmp_path / "sweep.json"
-        save_sweep(sweep, path)
-        view = load_sweep(path)
-        assert view.average_normalized("authen-then-write") == \
-            pytest.approx(sweep.average_normalized("authen-then-write"))
-
-    def test_json_is_valid(self, sweep, tmp_path):
-        import json
-
-        path = tmp_path / "sweep.json"
-        save_sweep(sweep, path)
-        with open(path) as handle:
-            json.load(handle)
+from repro.exec import store
 
 
 class TestAtomicWrite:
     def test_replaces_content_and_leaves_no_tmp(self, tmp_path):
-        from repro.sim.checkpoint import atomic_write_text
-
         path = tmp_path / "out.json"
         path.write_text("old")
-        atomic_write_text(path, "new")
+        store.atomic_write_text(path, "new")
         assert path.read_text() == "new"
         assert list(tmp_path.iterdir()) == [path]
 
     def test_failed_write_preserves_original(self, tmp_path, monkeypatch):
-        import os as _os
-
-        from repro.sim import checkpoint
-
         path = tmp_path / "out.json"
-        checkpoint.atomic_write_text(path, "precious")
+        store.atomic_write_text(path, "precious")
 
         def refuse(src, dst):
             raise OSError("disk on fire")
 
-        monkeypatch.setattr(checkpoint.os, "replace", refuse)
+        monkeypatch.setattr(store.os, "replace", refuse)
         with pytest.raises(OSError):
-            checkpoint.atomic_write_text(path, "torn")
+            store.atomic_write_text(path, "torn")
         assert path.read_text() == "precious"
-
-    def test_save_sweep_is_atomic(self, sweep, tmp_path):
-        path = tmp_path / "sweep.json"
-        save_sweep(sweep, path)
-        save_sweep(sweep, path)  # overwrite goes through replace too
-        assert json.loads(path.read_text())["format_version"] == \
-            FORMAT_VERSION
-        assert not (tmp_path / "sweep.json.tmp").exists()
+        assert list(tmp_path.iterdir()) == [path]
