@@ -503,123 +503,28 @@ def _cmd_diff(args):
 
 
 def _cmd_chaos(args):
-    from repro.exec.chaos import (ALL_FAULTS, run_chaos, run_dist_chaos,
-                                  run_figures_chaos, run_group_chaos,
-                                  run_store_chaos)
+    from repro.errors import ReproError
+    from repro.exec.chaos import run_chaos
     from repro.obs import write_json
 
-    scale = _scale(args)
-    if args.dist:
-        from repro.errors import ReproError
-
-        try:
-            report = run_dist_chaos(
-                benchmarks=args.benchmark or ["gzip", "mcf"],
-                policies=args.policy or ["decrypt-only",
-                                         "authen-then-commit",
-                                         "authen-then-issue"],
-                num_instructions=scale["num_instructions"],
-                warmup=scale["warmup"], seed=args.seed,
-                workdir=args.workdir)
-        except ReproError as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return 2
-        print(report.render())
-        if args.emit_json:
-            write_json(report.as_dict(), args.emit_json)
-            print("chaos report written to %s" % args.emit_json)
-        return 0 if report.identical else 1
-
-    if args.store:
-        from repro.errors import ReproError
-
-        try:
-            report = run_store_chaos(
-                benchmarks=args.benchmark or ["gzip", "mcf"],
-                policies=args.policy or ["decrypt-only",
-                                         "authen-then-commit",
-                                         "authen-then-issue"],
-                num_instructions=scale["num_instructions"],
-                warmup=scale["warmup"], seed=args.seed,
-                workdir=args.workdir)
-        except ReproError as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return 2
-        print(report.render())
-        if args.emit_json:
-            write_json(report.as_dict(), args.emit_json)
-            print("chaos report written to %s" % args.emit_json)
-        return 0 if report.identical else 1
-
-    if args.group:
-        from repro.errors import ReproError
-
-        try:
-            report = run_group_chaos(
-                benchmarks=args.benchmark or ["gzip", "mcf"],
-                policies=args.policy or ["decrypt-only",
-                                         "authen-then-commit",
-                                         "authen-then-issue",
-                                         "authen-then-write"],
-                num_instructions=scale["num_instructions"],
-                warmup=scale["warmup"], seed=args.seed,
-                workers=args.jobs, timeout=args.timeout,
-                workdir=args.workdir)
-        except ReproError as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return 2
-        print(report.render())
-        if args.emit_json:
-            write_json(report.as_dict(), args.emit_json)
-            print("chaos report written to %s" % args.emit_json)
-        return 0 if report.identical else 1
-
-    if args.figures:
-        from repro.errors import ReproError
-
-        names = [name.strip() for name in args.figures.split(",")
-                 if name.strip()]
-        try:
-            report = run_figures_chaos(
-                figures=names,
-                benchmarks=args.benchmark or ["gzip", "mcf"],
-                num_instructions=scale["num_instructions"],
-                warmup=scale["warmup"], seed=args.seed,
-                workers=args.jobs, workdir=args.workdir)
-        except ReproError as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return 2
-        print(report.render())
-        if args.emit_json:
-            write_json(report.as_dict(), args.emit_json)
-            print("chaos report written to %s" % args.emit_json)
-        return 0 if report.identical else 1
-
+    faults = None
     if args.faults:
-        faults = tuple(f.strip() for f in args.faults.split(",")
-                       if f.strip())
-        unknown = set(faults) - set(ALL_FAULTS)
-        if unknown:
-            print("error: unknown fault(s) %s (choose from %s)"
-                  % (", ".join(sorted(unknown)), ", ".join(ALL_FAULTS)),
-                  file=sys.stderr)
-            return 2
-    else:
-        faults = ALL_FAULTS
-    policies = args.policy or ["decrypt-only", "authen-then-commit",
-                               "authen-then-issue"]
-    report = run_chaos(benchmarks=args.benchmark or ["gzip"],
-                       policies=policies,
-                       num_instructions=scale["num_instructions"],
-                       warmup=scale["warmup"], seed=args.seed,
-                       faults=faults, workers=args.jobs,
-                       hang_seconds=args.hang_seconds,
-                       timeout=args.timeout, workdir=args.workdir)
+        faults = [f.strip() for f in args.faults.split(",") if f.strip()]
+    try:
+        report = run_chaos(args.scenario, benchmarks=args.benchmark,
+                           policies=args.policy, seed=args.seed,
+                           faults=faults, workers=args.jobs,
+                           hang_seconds=args.hang_seconds,
+                           timeout=args.timeout, workdir=args.workdir,
+                           **_scale(args))
+    except ReproError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
     print(report.render())
     if args.emit_json:
         write_json(report.as_dict(), args.emit_json)
         print("chaos report written to %s" % args.emit_json)
-    return 0 if report.identical else 1
+    return 0 if report.passed else 1
 
 
 def _cmd_trace(args):
@@ -805,8 +710,6 @@ def _cmd_store(args):
 
 
 def _cmd_worker(args):
-    import os
-
     from repro.exec import run_worker
     from repro.exec.dist import ensure_spool, request_stop
 
@@ -817,26 +720,11 @@ def _cmd_worker(args):
               % args.spool)
         return 0
     _activate_store(args)
-    on_record = None
-    die_after = os.environ.get("REPRO_WORKER_DIE_AFTER")
-    if die_after:
-        # Chaos/CI hook: SIGKILL this worker right after its Nth
-        # published result -- mid-unit by construction -- so host-death
-        # recovery can be exercised from a plain shell script.
-        import signal
-
-        budget = [int(die_after)]
-
-        def on_record(job, result):
-            budget[0] -= 1
-            if budget[0] <= 0:
-                os.kill(os.getpid(), signal.SIGKILL)
-
     summary = run_worker(args.spool, host_id=args.host_id,
                          poll=args.poll,
                          lease_timeout=args.lease_timeout,
                          idle_exit=args.idle_exit,
-                         max_units=args.max_units, on_record=on_record,
+                         max_units=args.max_units,
                          log=lambda line: print(line, file=sys.stderr))
     print("worker %s: %d unit(s), %d member result(s), %d error(s)"
           % (summary["host_id"], summary["units"], summary["members"],
@@ -1032,51 +920,35 @@ def build_parser():
     p.set_defaults(func=_cmd_diff)
 
     p = sub.add_parser("chaos",
-                       help="fault-injection harness: run a sweep under "
-                            "injected worker kills, hangs and stored-"
-                            "result corruption; verify bit-identical "
-                            "recovery")
+                       help="fault-injection harness: run one scenario "
+                            "under seeded faults and gate bit-identical "
+                            "recovery with every fault's evidence")
+    p.add_argument("--scenario", default="sweep",
+                   choices=("sweep", "group", "figures", "store", "dist"),
+                   help="path to drive: sweep (executor, default), "
+                        "group (grouped jobs), figures (fig8 through "
+                        "run_figures), store (artifact store), dist "
+                        "(shared spool)")
     p.add_argument("--benchmark", action="append", default=None,
                    choices=sorted(SPEC2000_PROFILES),
-                   help="benchmark(s) to sweep (default: gzip)")
+                   help="benchmark(s) to sweep, repeatable (default: "
+                        "the scenario's grid)")
     p.add_argument("-p", "--policy", action="append",
                    choices=available_policies())
     p.add_argument("--seed", type=int, default=0,
                    help="chaos schedule seed (default 0)")
     p.add_argument("--faults", metavar="CSV", default=None,
-                   help="comma-separated fault kinds (default: all): "
-                        "worker-kill, job-exception, hang, "
-                        "result-truncate, result-bitflip, "
-                        "pool-init-failure, store-enospc")
-    p.add_argument("--figures", metavar="CSV", default=None,
-                   help="run the figures chaos smoke instead: "
-                        "regenerate these artifacts (e.g. fig8) with a "
-                        "worker kill injected and verify byte-identical "
-                        "output")
-    p.add_argument("--group", action="store_true",
-                   help="run the grouped-pipeline campaign instead: "
-                        "worker-kill a multi-policy group mid-"
-                        "evaluation and gate that store resume "
-                        "re-runs only the unfinished policy "
-                        "evaluations bit-identically")
-    p.add_argument("--store", action="store_true",
-                   help="run the artifact-store campaign instead: "
-                        "corrupt store entries (truncation, bit flip) "
-                        "and plant a stale single-flight lock, then "
-                        "gate that quarantine + regeneration keep "
-                        "results bit-identical")
-    p.add_argument("--dist", action="store_true",
-                   help="run the multi-host campaign instead: a worker "
-                        "daemon SIGKILLed mid-unit and a vanished "
-                        "fleet must both heal to bit-identical "
-                        "results")
+                   help="comma-separated subset of the scenario's "
+                        "faults (default: all of them; the table is in "
+                        "docs/robustness.md)")
     p.add_argument("-j", "--jobs", type=int, default=2,
                    help="worker processes for the faulty phase "
                         "(default 2)")
     p.add_argument("--hang-seconds", type=float, default=2.0,
                    help="how long the injected hang sleeps")
-    p.add_argument("--timeout", type=float, default=0.75,
-                   help="per-attempt timeout used to break the hang")
+    p.add_argument("--timeout", type=float, default=None,
+                   help="per-attempt timeout (default: 0.75s when a "
+                        "hang is armed, to break it; none otherwise)")
     p.add_argument("--workdir", metavar="DIR", default=None,
                    help="keep the campaign's stores and spools here "
                         "instead of a temp dir")

@@ -2,33 +2,31 @@
 
 The paper argues a secure processor must keep producing correct results
 while memory misbehaves; this module holds the sweep infrastructure to
-the same standard.  Instead of hoping the retry/resume machinery works,
-:func:`run_chaos` *injects* the failure modes -- killed workers, raised
-exceptions, artificial hangs, truncated and bit-flipped entries in the
-store's result tier (the record resume trusts), plus the infrastructure
-faults (a pool initializer that dies, a result publish hitting ENOSPC)
--- from a seeded schedule, then asserts the sweep still converges to
-results bit-identical to a fault-free serial run (cycles, IPC and the
-sha256 stats digest of every job).
-:func:`run_figures_chaos` holds ``repro figures`` to the same standard:
-a worker kill mid-regeneration must still yield byte-identical text
-artifacts.  :func:`run_store_chaos` does the same for the persistent
-artifact store: truncated and bit-flipped entries plus a stale
-single-flight lock from a dead process must cost quarantine and one
-regeneration, never a wrong number.  :func:`run_dist_chaos` extends the
-standard across hosts: a worker daemon SIGKILLed mid-unit and a fleet
-that vanishes entirely must both heal to results bit-identical to
-``SerialExecutor`` -- with the victim's leased jobs re-run exactly once.
+the same standard.  Every campaign has one shape: a clean, serial,
+store-free *reference* run, then one or more *faulted* runs of the same
+work with faults armed, compared on what an observer sees -- per-job
+result digests (cycles, IPC inputs, stats), or artifact bytes.
+
+:func:`run_chaos` is the one runner.  A *scenario* names only the path
+it drives (:data:`SCENARIOS`): ``sweep`` (the executor), ``group``
+(grouped multi-policy jobs), ``figures`` (``run_figures``), ``store``
+(the artifact store) and ``dist`` (the shared spool).  A *fault* is one
+entry in :data:`FAULTS`, saying how it is armed and what evidence it
+must leave.  One gate judges every scenario: every digest matches the
+reference, no job fails terminally, each rerun against a store
+re-simulates exactly the jobs with no intact published result, and
+every armed fault left its evidence -- a fault that never fires fails
+the campaign instead of passing it silently.
 
 Determinism is the point: a :class:`ChaosPlan` is a pure function of
-``(job list, seed, fault kinds)``, so a failing chaos run is exactly
-reproducible with the same seed.  Fault injection rides the executors'
-attempt hook (installed in pool workers via the pool initializer, and in
-the driver for serial/degraded execution); job faults fire on a job's
-*first* attempt only, so the retry path -- not luck -- is what heals the
-sweep.
+``(job list, seed, fault kinds)``, so a failing campaign is exactly
+reproducible with the same seed.  Attempt-hook faults fire on a job's
+*first* attempt only, so the retry path -- not luck -- is what heals
+the run.
 """
 
+import collections
+import contextlib
 import dataclasses
 import errno
 import hashlib
@@ -40,19 +38,21 @@ import socket
 import time
 
 from repro.errors import ReproError
+from repro.exec.cache import TraceCache
 from repro.exec.executor import (
     ParallelExecutor,
     SerialExecutor,
     set_attempt_hook,
 )
-from repro.exec.job import build_jobs
+from repro.exec.job import build_job_groups, build_jobs
 from repro.exec.retry import (
     RETRY_THEN_SKIP,
+    STATUS_FAILED,
     STATUS_RESUMED,
     FailurePolicy,
 )
 from repro.exec.store import ArtifactStore, atomic_write_text, using_store
-from repro.obs.events import BACKEND_DEGRADED, JOB_FAILED, JOB_RETRY
+from repro.obs.events import JOB_RETRY
 from repro.util.rng import DeterministicRng
 
 
@@ -60,7 +60,7 @@ class InjectedFault(ReproError):
     """The exception a chaos schedule raises inside a job attempt."""
 
 
-# ---- fault kinds ------------------------------------------------------
+# ---- fault plug-ins ---------------------------------------------------
 
 FAULT_WORKER_KILL = "worker-kill"          # SIGKILL the worker process
 FAULT_JOB_EXCEPTION = "job-exception"      # raise InjectedFault
@@ -69,16 +69,46 @@ FAULT_RESULT_TRUNCATE = "result-truncate"  # tear a stored result entry
 FAULT_RESULT_BITFLIP = "result-bitflip"    # flip one stored digit
 FAULT_POOL_INIT = "pool-init-failure"      # first pool's initializer dies
 FAULT_STORE_ENOSPC = "store-enospc"        # a result publish hits ENOSPC
+FAULT_TRACE_TRUNCATE = "trace-truncate"    # cut a stored trace short
+FAULT_STALE_LOCK = "stale-lock"            # a dead process's lock file
+FAULT_HOST_DEATH = "host-death"            # a worker dies mid-unit
+FAULT_FLEET_VANISH = "fleet-vanish"        # no worker ever shows up
 
 JOB_FAULTS = (FAULT_WORKER_KILL, FAULT_JOB_EXCEPTION, FAULT_HANG)
 RESULT_FAULTS = (FAULT_RESULT_TRUNCATE, FAULT_RESULT_BITFLIP)
-#: Infrastructure faults: not tied to one job.  ``pool-init-failure``
-#: breaks the first worker pool while it is still being populated (the
-#: rebuild must heal it); ``store-enospc`` makes one mid-sweep
-#: ``save_result`` hit ``OSError(ENOSPC)`` (the sweep must finish, and
-#: the rerun must re-simulate the job that was never recorded).
-INFRA_FAULTS = (FAULT_POOL_INIT, FAULT_STORE_ENOSPC)
-ALL_FAULTS = JOB_FAULTS + RESULT_FAULTS + INFRA_FAULTS
+
+Fault = collections.namedtuple("Fault", "arm evidence")
+
+#: One entry per fault: how it is armed, and the evidence it must leave.
+FAULTS = {
+    FAULT_WORKER_KILL: Fault("attempt hook", "rebuild"),
+    FAULT_JOB_EXCEPTION: Fault("attempt hook", "retry"),
+    FAULT_HANG: Fault("attempt hook", "retry"),
+    FAULT_RESULT_TRUNCATE: Fault("on-disk damage", "quarantine"),
+    FAULT_RESULT_BITFLIP: Fault("on-disk damage", "quarantine"),
+    FAULT_POOL_INIT: Fault("pool initializer", "rebuild"),
+    FAULT_STORE_ENOSPC: Fault("store wrapper", "write-error"),
+    FAULT_TRACE_TRUNCATE: Fault("on-disk damage", "quarantine"),
+    FAULT_STALE_LOCK: Fault("on-disk damage", "lock-break"),
+    FAULT_HOST_DEATH: Fault("worker die_after", "host-loss"),
+    FAULT_FLEET_VANISH: Fault("worker die_after", "rebuild"),
+}
+#: The sweep scenario's faults (every fault the executor path can arm).
+ALL_FAULTS = JOB_FAULTS + RESULT_FAULTS + (FAULT_POOL_INIT,
+                                           FAULT_STORE_ENOSPC)
+
+#: Evidence kind -> the report counters whose sum shows it; each armed
+#: fault needs its own unit.  ``retry`` is read per target instead: the
+#: job the fault was aimed at took more than one attempt in its run.
+EVIDENCE = {
+    "retry": (),
+    "rebuild": ("pool_rebuilds", "degraded"),   # a pool rebuild or degrade
+    "quarantine": ("quarantined",),
+    "lock-break": ("lock_breaks",),
+    "host-loss": ("host_losses",),
+    "write-error": ("write_errors",),
+    "abort": ("aborts",),                       # a fail-fast run aborted
+}
 
 
 class ChaosPlan:
@@ -90,13 +120,10 @@ class ChaosPlan:
     backend or degraded pool) it downgrades to an :class:`InjectedFault`.
     """
 
-    def __init__(self, seed, job_faults, hang_seconds=2.0,
-                 result_faults=(), infra_faults=()):
+    def __init__(self, seed, job_faults, hang_seconds=2.0):
         self.seed = seed
         self.job_faults = dict(job_faults)
         self.hang_seconds = hang_seconds
-        self.result_faults = tuple(result_faults)
-        self.infra_faults = tuple(infra_faults)
         self.init_sentinel = None
         self.driver_pid = os.getpid()
 
@@ -104,8 +131,8 @@ class ChaosPlan:
         """The fault to fire for this attempt (None for no fault).
 
         Keys in ``job_faults`` may be job_ids or ``benchmark/policy``
-        pairs -- the latter lets callers (the figures chaos smoke) target
-        a job without precomputing its configuration-dependent job_id.
+        pairs -- the latter lets callers (the figures scenario) target a
+        job without precomputing its configuration-dependent job_id.
         Grouped execution keeps this targeting surface: the executors
         fire the attempt hook once per *member* evaluation, so a fault
         keyed by a member's job_id or cell lands inside whichever
@@ -128,8 +155,7 @@ class ChaosPlan:
 
     def init_fault(self):
         """Fire the armed pool-initializer fault (worker side)."""
-        if (FAULT_POOL_INIT not in self.infra_faults
-                or self.init_sentinel is None):
+        if self.init_sentinel is None:
             return
         try:
             open(self.init_sentinel, "x").close()
@@ -177,11 +203,11 @@ def build_plan(jobs, seed, faults=ALL_FAULTS, hang_seconds=2.0):
     chosen by a named RNG stream off ``seed`` -- same inputs, same
     schedule, on every machine.
     """
-    unknown = set(faults) - set(ALL_FAULTS)
+    unknown = set(faults) - set(FAULTS)
     if unknown:
         raise ReproError("unknown fault kind(s): %s (expected %s)"
                          % (", ".join(sorted(unknown)),
-                            ", ".join(ALL_FAULTS)))
+                            ", ".join(FAULTS)))
     rng = DeterministicRng(seed).stream("chaos.targets")
     available = [job.job_id for job in jobs]
     job_faults = {}
@@ -189,51 +215,79 @@ def build_plan(jobs, seed, faults=ALL_FAULTS, hang_seconds=2.0):
         if kind not in faults or not available:
             continue
         job_faults[available.pop(rng.randrange(len(available)))] = kind
-    result_faults = tuple(k for k in RESULT_FAULTS if k in faults)
-    infra_faults = tuple(k for k in INFRA_FAULTS if k in faults)
-    return ChaosPlan(seed, job_faults, hang_seconds=hang_seconds,
-                     result_faults=result_faults,
-                     infra_faults=infra_faults)
+    return ChaosPlan(seed, job_faults, hang_seconds=hang_seconds)
 
 
-def corrupt_results(store_root, faults, seed):
-    """Apply the result faults to a store's result tier; returns notes.
+def _exit_immediately():
+    """Target whose prompt death leaves a provably-dead lock owner pid."""
 
-    Each fault hits a different seed-chosen entry.  ``result-truncate``
-    replays a torn write: the entry is cut in half.  ``result-bitflip``
-    replays silent media corruption: one digit in the entry gets its
-    low bit flipped -- the payload may stay syntactically valid JSON,
-    which is exactly the case only the CRC32 field can catch.
+
+def damage_store(store_root, jobs, faults, seed):
+    """Apply the on-disk faults to a store; returns {entry: fault}.
+
+    Each result fault hits a different seed-chosen job's result entry:
+    ``result-truncate`` replays a torn write (the entry is cut in half),
+    ``result-bitflip`` replays silent media corruption (one digit gets
+    its low bit flipped -- the payload may stay valid JSON, which is
+    exactly the case only the CRC32 field can catch).  The trace faults
+    target the first damaged job -- the one a rerun must re-simulate,
+    and so the one whose trace it must read: ``trace-truncate`` cuts
+    that trace to a third, and ``stale-lock`` plants its single-flight
+    lock owned by a process that has already exited (the
+    killed-worker-left-a-lock case).
     """
-    directory = os.path.join(os.fspath(store_root), "results")
-    try:
-        names = sorted(name for name in os.listdir(directory)
-                       if ".tmp" not in name)
-    except OSError:
-        return []
+    import multiprocessing
+
+    store = ArtifactStore(store_root)
+    owners = {}
+    for job in jobs:
+        if os.path.exists(store.result_path(job)):
+            owners[os.path.basename(store.result_path(job))] = job
+    names = sorted(owners)
+    if not names:
+        return {}
     rng = DeterministicRng(seed).stream("chaos.results")
-    applied = []
+    damaged = {}
+    victims = []
     for kind in RESULT_FAULTS:
         if kind not in faults or not names:
             continue
         name = names.pop(rng.randrange(len(names)))
-        path = os.path.join(directory, name)
+        path = os.path.join(os.fspath(store_root), "results", name)
         with open(path, "rb") as handle:
             data = handle.read()
         if kind == FAULT_RESULT_TRUNCATE:
             data = data[:len(data) // 2]
-            applied.append("truncated result entry %s to %d bytes"
-                           % (name[:12], len(data)))
         else:
             digits = [i for i, byte in enumerate(data)
                       if chr(byte).isdigit()]
             at = digits[rng.randrange(len(digits))]
             data = data[:at] + bytes([data[at] ^ 1]) + data[at + 1:]
-            applied.append("flipped low bit of byte %d in result entry %s"
-                           % (at, name[:12]))
         with open(path, "wb") as handle:
             handle.write(data)
-    return applied
+        damaged[name] = kind
+        victims.append(owners[name])
+    victim = victims[0] if victims else owners[names[0]]
+    trace = store.trace_name(victim.benchmark, victim.trace_length,
+                             victim.effective_seed)
+    if FAULT_TRACE_TRUNCATE in faults:
+        path = os.path.join(os.fspath(store_root), "traces", trace)
+        with open(path, "r+b") as handle:
+            handle.truncate(max(os.path.getsize(path) // 3, 40))
+        damaged[trace] = FAULT_TRACE_TRUNCATE
+    if FAULT_STALE_LOCK in faults:
+        proc = multiprocessing.Process(target=_exit_immediately)
+        proc.start()
+        proc.join()
+        lock = "traces-%s.lock" % trace
+        with open(os.path.join(os.fspath(store_root), "locks", lock),
+                  "w") as handle:
+            # Recording our own hostname keeps the pid-liveness check in
+            # play: locks from *foreign* hosts age out instead.
+            json.dump({"pid": proc.pid, "host": socket.gethostname(),
+                       "created": time.time()}, handle)
+        damaged[lock] = FAULT_STALE_LOCK
+    return damaged
 
 
 class EnospcStore(ArtifactStore):
@@ -268,77 +322,6 @@ def result_digest(result):
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-@dataclasses.dataclass
-class ChaosReport:
-    """Outcome of one chaos campaign (see :func:`run_chaos`)."""
-
-    identical: bool
-    seed: int
-    faults: tuple
-    total_jobs: int
-    injected: dict          # job_id -> fault kind
-    cells: dict             # job_id -> (benchmark, policy)
-    result_corruption: list
-    attempts: dict          # job_id -> attempts across both phases
-    failures: list          # JobResult dicts for terminal failures
-    mismatches: list        # job_ids whose digest diverged
-    quarantined_entries: int
-    resumed_jobs: int
-    reexecuted_jobs: int
-    pool_rebuilds: int
-    degraded: bool
-    retry_events: int
-    failed_events: int
-    degraded_events: int
-    stats_digest: str       # sha256 over the per-job digests, in order
-    store_dir: str
-    store_write_errors: int = 0
-
-    def as_dict(self):
-        return dataclasses.asdict(self)
-
-    def render(self):
-        lines = ["chaos campaign: seed=%d faults=%s"
-                 % (self.seed, ",".join(self.faults))]
-        lines.append("  injected: %s" % (
-            ", ".join("%s->%s" % (kind, job_id)
-                      for job_id, kind in sorted(self.injected.items(),
-                                                 key=lambda kv: kv[1]))
-            or "none"))
-        for note in self.result_corruption:
-            lines.append("  store: %s" % note)
-        retried = sum(1 for n in self.attempts.values() if n > 1)
-        lines.append("  %d job(s): %d retried, %d resumed from the store, "
-                     "%d re-executed on the rerun"
-                     % (self.total_jobs, retried, self.resumed_jobs,
-                        self.reexecuted_jobs))
-        lines.append("  pool rebuilds: %d%s; events: %d retry, %d "
-                     "failed, %d degraded"
-                     % (self.pool_rebuilds,
-                        " (degraded to serial)" if self.degraded else "",
-                        self.retry_events, self.failed_events,
-                        self.degraded_events))
-        if self.store_write_errors:
-            lines.append("  store publish failed mid-sweep (%d write "
-                         "error(s)): run finished, those jobs re-ran"
-                         % self.store_write_errors)
-        if self.quarantined_entries:
-            lines.append("  quarantined %d result entr%s -> %s"
-                         % (self.quarantined_entries,
-                            "y" if self.quarantined_entries == 1
-                            else "ies",
-                            os.path.join(self.store_dir, "quarantine")))
-        if self.failures:
-            lines.append("  TERMINAL FAILURES: %s" % self.failures)
-        lines.append("  stats digest: %s" % self.stats_digest)
-        lines.append("verdict: %s" % (
-            "bit-identical to the fault-free serial run"
-            if self.identical else
-            "DIVERGED from the fault-free serial run: %s"
-            % (self.mismatches or "(missing results)")))
-        return "\n".join(lines)
-
-
 def _fresh_dir(path):
     """``path`` as an empty directory (a stale campaign's is removed)."""
     shutil.rmtree(path, ignore_errors=True)
@@ -346,698 +329,370 @@ def _fresh_dir(path):
     return path
 
 
-def run_chaos(benchmarks=("gzip",),
-              policies=("decrypt-only", "authen-then-commit",
-                        "authen-then-issue"),
-              num_instructions=1500, warmup=750, seed=0,
-              faults=ALL_FAULTS, workers=2, hang_seconds=2.0,
-              timeout=0.75, max_attempts=4, workdir=None, tracer=None):
-    """Run one chaos campaign; returns a :class:`ChaosReport`.
-
-    Three phases:
-
-    1. *Reference*: the job grid runs clean, serial and store-free;
-       per-job digests are the ground truth.
-    2. *Fault phase*: the same grid runs against a fresh store with the
-       seeded job faults armed (pool workers get the plan via the pool
-       initializer; the driver gets it for serial/degraded execution)
-       under a retry-then-skip policy with a per-attempt timeout.
-    3. *Recovery phase*: the store's result entries are corrupted per
-       the schedule, then the grid is re-run against it -- quarantined
-       and never-published results must be re-simulated, everything
-       else resumed.
-
-    The campaign passes when phase 3's results are bit-identical to
-    phase 1's for every job and nothing failed terminally.
-    """
-    from repro.obs import MemorySink, Tracer
-
-    jobs = build_jobs(list(benchmarks), list(policies),
-                      num_instructions=num_instructions, warmup=warmup)
-    with using_store(None):
-        reference = SerialExecutor().run(jobs)
-    ref_digests = {job.job_id: result_digest(reference[job])
-                   for job in jobs}
-
-    if workdir is None:
-        import tempfile
-
-        workdir = tempfile.mkdtemp(prefix="repro-chaos-")
-    os.makedirs(workdir, exist_ok=True)
-    store_dir = _fresh_dir(os.path.join(workdir, "store"))
-
-    plan = build_plan(jobs, seed, faults, hang_seconds=hang_seconds)
-    sentinel = os.path.join(workdir, "pool-init.sentinel")
-    if os.path.exists(sentinel):
-        os.remove(sentinel)
-    if FAULT_POOL_INIT in plan.infra_faults:
-        plan.arm_init_fault(sentinel)
-    policy = FailurePolicy(mode=RETRY_THEN_SKIP,
-                           max_attempts=max_attempts, timeout=timeout,
-                           backoff_base=0.01, backoff_max=0.05,
-                           jitter_seed=seed)
-    sink = MemorySink()
-    own_tracer = tracer if tracer is not None else Tracer([sink])
-
-    # Phase 2: run with faults armed.
-    attempts = {}
-    failures = []
-    store = (EnospcStore(store_dir)
-             if FAULT_STORE_ENOSPC in plan.infra_faults
-             else ArtifactStore(store_dir))
-    previous = set_attempt_hook(plan)
-    try:
-        if workers and workers > 1:
-            executor = ParallelExecutor(
-                workers, initializer=_install_in_worker,
-                initargs=(plan,))
-        else:
-            executor = SerialExecutor()
-        with using_store(store), executor:
-            executor.run(jobs, tracer=own_tracer, failure_policy=policy)
-            for job_id, outcome in executor.last_outcomes.items():
-                attempts[job_id] = outcome.attempts
-                if outcome.status == "failed":
-                    failures.append(outcome.as_dict())
-            pool_rebuilds = getattr(executor, "rebuilds", 0)
-            degraded = getattr(executor, "degraded", False)
-    finally:
-        set_attempt_hook(previous)
-
-    # Phase 3: corrupt stored results, then heal by resuming (no faults
-    # armed: the hook is restored, workers are fresh).
-    corruption = corrupt_results(store_dir, plan.result_faults, seed)
-    heal_store = ArtifactStore(store_dir)
-    healer = SerialExecutor()
-    with using_store(heal_store):
-        final = healer.run(jobs, tracer=own_tracer, failure_policy=policy)
-    resumed = reexecuted = 0
-    for job_id, outcome in healer.last_outcomes.items():
-        if outcome.status == STATUS_RESUMED:
-            resumed += 1
-        else:
-            reexecuted += 1
-            attempts[job_id] = attempts.get(job_id, 0) + outcome.attempts
-            if outcome.status == "failed":
-                failures.append(outcome.as_dict())
-
-    mismatches = []
-    digests = []
-    for job in jobs:
-        if job not in final:
-            mismatches.append(job.job_id)
-            continue
-        digest = result_digest(final[job])
-        digests.append(digest)
-        if digest != ref_digests[job.job_id]:
-            mismatches.append(job.job_id)
-    stats_digest = hashlib.sha256(
-        "".join(digests).encode()).hexdigest()
-
-    events = sink.events if tracer is None else ()
-    return ChaosReport(
-        identical=not mismatches and not failures,
-        seed=seed,
-        faults=tuple(faults),
-        total_jobs=len(jobs),
-        injected=dict(plan.job_faults),
-        cells={job.job_id: (job.benchmark, job.policy) for job in jobs},
-        result_corruption=corruption,
-        attempts=attempts,
-        failures=failures,
-        mismatches=mismatches,
-        quarantined_entries=heal_store.counters["quarantined"],
-        resumed_jobs=resumed,
-        reexecuted_jobs=reexecuted,
-        pool_rebuilds=pool_rebuilds,
-        degraded=degraded,
-        retry_events=sum(1 for e in events if e.kind == JOB_RETRY),
-        failed_events=sum(1 for e in events if e.kind == JOB_FAILED),
-        degraded_events=sum(1 for e in events
-                            if e.kind == BACKEND_DEGRADED),
-        stats_digest=stats_digest,
-        store_dir=store_dir,
-        store_write_errors=store.counters["write_errors"],
-    )
-
+# ---- the report -------------------------------------------------------
 
 @dataclasses.dataclass
-class GroupChaosReport:
-    """Outcome of one :func:`run_group_chaos` campaign."""
+class ChaosReport:
+    """Outcome of one chaos campaign (see :func:`run_chaos`)."""
 
-    identical: bool
+    scenario: str
     seed: int
-    benchmarks: tuple
-    policies: tuple
-    victim: str             # "benchmark/policy" cell the faults target
-    total_members: int
-    pool_rebuilds: int      # worker-kill phase pool losses
-    degraded: bool          # worker-kill phase fell back to serial
-    published_before_kill: int
-    resume_exact: bool      # resume re-ran ONLY the unfinished members
-    resumed_members: int
-    reexecuted_members: int
-    mismatches: list        # member job_ids whose digest diverged
-    failures: list          # terminal JobResult dicts from any phase
-    stats_digest: str
+    faults: tuple
+    injected: dict          # target (job, cell, entry, host) -> fault
+    cells: dict             # job_id -> (benchmark, policy)
+    attempts: dict          # job_id -> most attempts one run spent
+    failures: list          # JobResult dicts for terminal failures
+    mismatches: list        # job_ids (figures: artifacts) that diverged
+    counters: dict          # pool_rebuilds, quarantined, host_losses, ...
+    gates: dict             # gate name -> passed
+    stats_digest: str       # sha256 over the healed per-job digests
     workdir: str
+    kind: str = "chaos"
+
+    @property
+    def passed(self):
+        return all(self.gates.values())
 
     def as_dict(self):
-        return dataclasses.asdict(self)
+        return dict(dataclasses.asdict(self), passed=self.passed)
 
     def render(self):
-        lines = ["grouped chaos campaign: seed=%d victim=%s"
-                 % (self.seed, self.victim)]
-        lines.append("  %d benchmark group(s) x %d policies "
-                     "(%d member evaluations)"
-                     % (len(self.benchmarks), len(self.policies),
-                        self.total_members))
-        lines.append("  worker-kill phase: %d pool rebuild(s)%s, "
-                     "results complete"
-                     % (self.pool_rebuilds,
-                        " (degraded to serial)" if self.degraded
-                        else ""))
-        lines.append("  mid-group kill: %d member(s) stored before "
-                     "the fault; resume re-ran %d, resumed %d -- %s"
-                     % (self.published_before_kill,
-                        self.reexecuted_members, self.resumed_members,
-                        "exactly the unfinished members"
-                        if self.resume_exact else
-                        "WRONG member set re-executed"))
+        lines = ["chaos campaign: scenario=%s seed=%d faults=%s"
+                 % (self.scenario, self.seed,
+                    ",".join(self.faults) or "none")]
+        lines.append("  injected: %s" % (
+            ", ".join("%s->%s" % (kind, target)
+                      for target, kind in sorted(self.injected.items(),
+                                                 key=lambda kv: kv[1]))
+            or "none"))
+        lines.append("  %d job(s), %d retried; %s"
+                     % (len(self.attempts),
+                        sum(1 for n in self.attempts.values() if n > 1),
+                        ", ".join("%s=%d" % item for item
+                                  in sorted(self.counters.items()))))
         if self.failures:
             lines.append("  TERMINAL FAILURES: %s" % self.failures)
+        if self.mismatches:
+            lines.append("  DIVERGED: %s" % ", ".join(self.mismatches))
+        for gate, ok in self.gates.items():
+            if gate.startswith("evidence:") and not ok:
+                lines.append("  SILENT FAULT: %s left no evidence -- it "
+                             "never fired" % gate.split(":", 1)[1])
+        lines.append("  gates: %s" % ", ".join(
+            "%s %s" % (gate, "ok" if ok else "FAILED")
+            for gate, ok in self.gates.items()))
         lines.append("  stats digest: %s" % self.stats_digest)
         lines.append("verdict: %s" % (
-            "bit-identical to the fault-free per-job run"
-            if self.identical else
-            "DIVERGED from the fault-free per-job run: %s"
-            % (self.mismatches or "(resume or failure gate)")))
+            "%s to the fault-free serial run"
+            % ("artifacts byte-identical" if self.scenario == "figures"
+               else "bit-identical") if self.passed else "FAILED"))
         return "\n".join(lines)
 
 
-def run_group_chaos(benchmarks=("gzip", "mcf"),
-                    policies=("decrypt-only", "authen-then-commit",
-                              "authen-then-issue", "authen-then-write"),
-                    num_instructions=1500, warmup=750, seed=0,
-                    workers=2, timeout=30.0, max_attempts=4,
-                    workdir=None):
-    """Chaos campaign for the grouped (decode once, evaluate N) path.
+# ---- shared scaffolding -----------------------------------------------
 
-    Three phases against a fault-free *per-job* serial reference:
+class _Campaign:
+    """One campaign's shared state: the job grid, its store-free serial
+    reference, the retry-then-skip policy, and the report being built."""
 
-    1. *Worker-kill phase*: the grouped sweep runs on a worker pool with
-       a ``worker-kill`` armed against a mid-group member (second
-       policy of the first benchmark's group).  The pool keeps dying --
-       a killed worker never charges an attempt -- until the executor
-       degrades to in-process execution, where the kill downgrades to
-       an :class:`InjectedFault` the retry policy heals.  Results must
-       come back complete and bit-identical.
-    2. *Mid-group kill*: the same grouped sweep runs serially under
-       fail-fast with an exception armed against the same member; the
-       run aborts mid-group, leaving a store holding exactly the
-       members that completed before the fault (members are published
-       incrementally).
-    3. *Resume gate*: the grouped sweep re-runs against that store.
-       The gate: every stored member resumes from disk, **only** the
-       unfinished evaluations re-run, and the merged results are
-       bit-identical to the reference.
-    """
-    from repro.exec.job import build_job_groups
+    def __init__(self, scenario, faults, benchmarks, policies, scale,
+                 seed, workers, hang_seconds, timeout, workdir):
+        from repro.obs import MemorySink, Tracer
 
-    benchmarks = list(benchmarks)
-    policies = list(policies)
-    if len(policies) < 3:
-        raise ReproError("run_group_chaos needs >= 3 policies so the "
-                         "fault can land mid-group")
-    jobs = build_jobs(benchmarks, policies,
-                      num_instructions=num_instructions, warmup=warmup)
-    groups = build_job_groups(benchmarks, policies,
-                              num_instructions=num_instructions,
-                              warmup=warmup)
-    with using_store(None):
-        reference = SerialExecutor().run(jobs)
-    ref_digests = {job.job_id: result_digest(reference[job])
-                   for job in jobs}
+        self.scenario = scenario
+        self.faults = faults
+        self.benchmarks = benchmarks
+        self.policies = policies
+        self.scale = scale
+        self.seed = seed
+        self.workers = workers
+        self.hang_seconds = hang_seconds
+        self.workdir = workdir
+        self.jobs = build_jobs(benchmarks, policies, **scale)
+        self.cells = {job.job_id: (job.benchmark, job.policy)
+                      for job in self.jobs}
+        self.sink = MemorySink()
+        self.tracer = Tracer([self.sink])
+        self.policy = FailurePolicy(mode=RETRY_THEN_SKIP, max_attempts=4,
+                                    timeout=timeout, backoff_base=0.01,
+                                    backoff_max=0.05, jitter_seed=seed)
+        self.evidence = {fault: FAULTS[fault].evidence for fault in faults}
+        self.retried = set()    # retry-evidence faults whose target retried
+        self.injected = {}
+        self.attempts = {}
+        self.failures = []
+        self.mismatches = []
+        self.counters = {}
+        self.gates = {}
+        self.digests = []
+        with using_store(None):
+            results = SerialExecutor().run(self.jobs)
+        self.reference = {job.job_id: result_digest(results[job])
+                          for job in self.jobs}
 
-    if workdir is None:
-        import tempfile
+    def groups(self):
+        return build_job_groups(self.benchmarks, self.policies,
+                                **self.scale)
 
-        workdir = tempfile.mkdtemp(prefix="repro-groupchaos-")
-    os.makedirs(workdir, exist_ok=True)
+    def count(self, **counters):
+        for name, value in counters.items():
+            self.counters[name] = self.counters.get(name, 0) + int(value)
 
-    victim_index = 1   # second member: mid-group, never the first
-    victim = "%s/%s" % (benchmarks[0], policies[victim_index])
-    failures = []
+    def gate(self, name, ok):
+        self.gates[name] = self.gates.get(name, True) and bool(ok)
 
-    # Phase 1: worker-kill against the victim member, grouped, on a
-    # pool.  Heals via pool rebuild -> degradation -> in-process retry.
-    plan = ChaosPlan(seed, {victim: FAULT_WORKER_KILL})
-    retry_policy = FailurePolicy(mode=RETRY_THEN_SKIP,
-                                 max_attempts=max_attempts,
-                                 timeout=timeout, backoff_base=0.01,
-                                 backoff_max=0.05, jitter_seed=seed)
-    kill_store = ArtifactStore(
-        _fresh_dir(os.path.join(workdir, "group-kill-store")))
-    previous = set_attempt_hook(plan)
-    try:
-        if workers and workers > 1:
-            executor = ParallelExecutor(
-                workers, initializer=_install_in_worker,
-                initargs=(plan,))
-        else:
-            executor = SerialExecutor()
-        with using_store(kill_store), executor:
-            killed = executor.run(groups, failure_policy=retry_policy)
-            pool_rebuilds = getattr(executor, "rebuilds", 0)
-            degraded = getattr(executor, "degraded", False)
-            failures.extend(outcome.as_dict() for outcome
-                            in executor.failures.values())
-    finally:
-        set_attempt_hook(previous)
-    kill_mismatches = [
-        member.job_id
-        for group in groups for member in group.member_jobs
-        if member not in killed
-        or result_digest(killed[member]) != ref_digests[member.job_id]]
+    @contextlib.contextmanager
+    def armed(self, plan, fail_fast=False):
+        """Install ``plan`` as the attempt hook and yield an executor
+        that arms it in every pool worker too; restore on exit.
 
-    # Phase 2: abort mid-group under fail-fast, leaving a partly
-    # filled store.
-    resume_store = ArtifactStore(
-        _fresh_dir(os.path.join(workdir, "group-resume-store")))
-    plan2 = ChaosPlan(seed, {victim: FAULT_JOB_EXCEPTION})
-    previous = set_attempt_hook(plan2)
-    try:
-        with using_store(resume_store):
-            SerialExecutor().run(groups, failure_policy=FailurePolicy())
-        raise ReproError("mid-group fault never fired (victim %s "
-                         "matched no member)" % victim)
-    except InjectedFault:
-        pass
-    finally:
-        set_attempt_hook(previous)
-    published = {member.job_id for group in groups
-                 for member in group.member_jobs
-                 if os.path.exists(resume_store.result_path(member))}
-    expected_prefix = {member.job_id for member
-                       in groups[0].member_jobs[:victim_index]}
+        In-process (one worker, or ``fail_fast``) a worker-kill
+        downgrades to an exception, so its evidence is a retry; under
+        fail-fast an exception aborts the run instead of retrying.
+        """
+        pooled = self.workers > 1 and not fail_fast
+        self.injected.update(plan.job_faults)
+        for kind in plan.job_faults.values():
+            if kind == FAULT_WORKER_KILL and not pooled:
+                self.evidence[kind] = "retry"
+            elif kind == FAULT_JOB_EXCEPTION and fail_fast:
+                self.evidence[kind] = "abort"
+        previous = set_attempt_hook(plan)
+        try:
+            executor = (ParallelExecutor(self.workers,
+                                         initializer=_install_in_worker,
+                                         initargs=(plan,))
+                        if pooled else SerialExecutor())
+            with executor:
+                yield executor
+        finally:
+            set_attempt_hook(previous)
 
-    # Phase 3: resume.  Only the unfinished members may re-run.
-    healer = SerialExecutor()
-    with using_store(resume_store):
-        final = healer.run(groups, failure_policy=retry_policy)
-    resumed = {job_id for job_id, outcome
-               in healer.last_outcomes.items()
-               if outcome.status == STATUS_RESUMED}
-    reexecuted = {job_id for job_id, outcome
-                  in healer.last_outcomes.items()
-                  if outcome.status != STATUS_RESUMED}
-    failures.extend(outcome.as_dict() for outcome
-                    in healer.failures.values())
-    resume_exact = (published == expected_prefix
-                    and resumed == published
-                    and reexecuted == set(ref_digests) - published)
+    def settle(self, executor, plan=None, records=None):
+        """Fold one run's outcomes in (attempts, terminal failures, pool
+        rebuilds, degrades) and note which of ``plan``'s targets retried;
+        ``records`` (outcome dicts) default to the executor's last run."""
+        if records is None:
+            records = [outcome.as_dict()
+                       for outcome in executor.last_outcomes.values()]
+        retried = set()
+        for record in records:
+            job_id = record["job_id"]
+            self.attempts[job_id] = max(self.attempts.get(job_id, 0),
+                                        record["attempts"])
+            if record["status"] == STATUS_FAILED:
+                self.failures.append(record)
+            if record["attempts"] > 1:
+                retried.update((job_id, "%s/%s" % self.cells.get(
+                    job_id, ("?", "?"))))
+        self.count(pool_rebuilds=getattr(executor, "rebuilds", 0),
+                   degraded=getattr(executor, "degraded", False))
+        self.retried.update(kind for target, kind
+                            in (plan.job_faults.items() if plan else ())
+                            if target in retried)
 
-    mismatches = []
-    digests = []
-    for job in jobs:
-        match = next((result for member, result in final.items()
-                      if member.job_id == job.job_id), None)
-        if match is None:
-            mismatches.append(job.job_id)
-            continue
-        digest = result_digest(match)
-        digests.append(digest)
-        if digest != ref_digests[job.job_id]:
-            mismatches.append(job.job_id)
-    mismatches.extend(job_id for job_id in kill_mismatches
-                      if job_id not in mismatches)
-    stats_digest = hashlib.sha256("".join(digests).encode()).hexdigest()
+    def compare(self, results):
+        """Record every job whose result is missing or diverges from the
+        reference; the last comparison's digests make the stats digest."""
+        by_id = {job.job_id: result for job, result in results.items()}
+        self.digests = []
+        for job in self.jobs:
+            result = by_id.get(job.job_id)
+            digest = result_digest(result) if result is not None else None
+            if digest is not None:
+                self.digests.append(digest)
+            if (digest != self.reference[job.job_id]
+                    and job.job_id not in self.mismatches):
+                self.mismatches.append(job.job_id)
 
-    return GroupChaosReport(
-        identical=(not mismatches and not failures and resume_exact),
-        seed=seed,
-        benchmarks=tuple(benchmarks),
-        policies=tuple(policies),
-        victim=victim,
-        total_members=len(jobs),
-        pool_rebuilds=pool_rebuilds,
-        degraded=degraded,
-        published_before_kill=len(published),
-        resume_exact=resume_exact,
-        resumed_members=len(resumed),
-        reexecuted_members=len(reexecuted),
-        mismatches=mismatches,
-        failures=failures,
-        stats_digest=stats_digest,
-        workdir=workdir,
-    )
+    def rerun(self, units, store, damaged=()):
+        """Heal by rerunning ``units`` serially against ``store``.
 
-
-@dataclasses.dataclass
-class FiguresChaosReport:
-    """Outcome of one :func:`run_figures_chaos` campaign."""
-
-    identical: bool
-    seed: int
-    figures: tuple
-    benchmarks: tuple
-    injected: dict          # target key -> fault kind
-    mismatches: list        # artifact names whose bytes diverged
-    failures: int           # terminal failures in the faulted run
-    pool_rebuilds: int
-    degraded: bool
-    reference_dir: str
-    faulted_dir: str
-
-    def as_dict(self):
-        return dataclasses.asdict(self)
-
-    def render(self):
-        lines = ["figures chaos campaign: seed=%d figures=%s"
-                 % (self.seed, ",".join(self.figures))]
-        lines.append("  injected: %s" % (
-            ", ".join("%s->%s" % (kind, key)
-                      for key, kind in sorted(self.injected.items(),
-                                              key=lambda kv: kv[1]))
-            or "none"))
-        lines.append("  pool rebuilds: %d%s; terminal failures: %d"
-                     % (self.pool_rebuilds,
-                        " (degraded to serial)" if self.degraded else "",
-                        self.failures))
-        lines.append("verdict: %s" % (
-            "artifacts byte-identical to the fault-free serial run"
-            if self.identical else
-            "artifacts DIVERGED from the fault-free serial run: %s"
-            % (self.mismatches or "(terminal failures)")))
-        return "\n".join(lines)
-
-
-def run_figures_chaos(figures=("fig8",), benchmarks=("gzip", "mcf"),
-                      num_instructions=1200, warmup=600, seed=0,
-                      workers=2, timeout=30.0, max_attempts=4,
-                      target_policy="authen-then-issue", workdir=None):
-    """Chaos smoke for ``repro figures``: kill a worker mid-regeneration
-    under a retry policy, assert the artifacts come out byte-identical.
-
-    Two phases: a clean serial :func:`~repro.experiments.figures.\
-run_figures` produces the reference artifacts, then the same figure set
-    regenerates on a worker pool with a ``worker-kill`` armed against
-    the first benchmark's first job (targeted by ``benchmark/policy``
-    key, so no job_id precomputation).  The kill never charges an
-    attempt, so the pool keeps dying until the executor degrades to
-    serial execution -- where the plan downgrades the kill to an
-    :class:`InjectedFault` that the retry policy heals.  The campaign
-    passes when every ``<name>.txt`` is byte-for-byte the reference and
-    nothing failed terminally.
-    """
-    from repro.experiments.figures import ARTIFACTS, run_figures
-
-    figures = tuple(figures)
-    unknown = set(figures) - set(ARTIFACTS)
-    if unknown:
-        raise ReproError("unknown figure(s): %s (expected %s)"
-                         % (", ".join(sorted(unknown)),
-                            ", ".join(ARTIFACTS)))
-    if workdir is None:
-        import tempfile
-
-        workdir = tempfile.mkdtemp(prefix="repro-figchaos-")
-    os.makedirs(workdir, exist_ok=True)
-    scale = dict(num_instructions=num_instructions, warmup=warmup,
-                 benchmarks=tuple(benchmarks))
-
-    reference = run_figures(figures, os.path.join(workdir, "reference"),
-                            jobs=1, **scale)
-
-    # ``target_policy`` must name a policy the chosen figure set really
-    # sweeps (the default matches fig8's reference policy) -- a key that
-    # matches no job would make the campaign pass without ever injecting.
-    target = "%s/%s" % (benchmarks[0], target_policy)
-    plan = ChaosPlan(seed, {target: FAULT_WORKER_KILL})
-    policy = FailurePolicy(mode=RETRY_THEN_SKIP,
-                           max_attempts=max_attempts, timeout=timeout,
-                           backoff_base=0.01, backoff_max=0.05,
-                           jitter_seed=seed)
-    previous = set_attempt_hook(plan)
-    try:
-        with ParallelExecutor(workers, initializer=_install_in_worker,
-                              initargs=(plan,)) as executor:
-            faulted = run_figures(
-                figures, os.path.join(workdir, "faulted"),
-                executor=executor, failure_policy=policy, **scale)
-            pool_rebuilds = executor.rebuilds
-            degraded = executor.degraded
-    finally:
-        set_attempt_hook(previous)
-
-    mismatches = []
-    for name in figures:
-        with open(reference["artifact_paths"][name], "rb") as handle:
-            want = handle.read()
-        with open(faulted["artifact_paths"][name], "rb") as handle:
-            got = handle.read()
-        if want != got:
-            mismatches.append(name)
-    failures = faulted["total_failures"]
-    return FiguresChaosReport(
-        identical=not mismatches and not failures,
-        seed=seed,
-        figures=figures,
-        benchmarks=tuple(benchmarks),
-        injected=dict(plan.job_faults),
-        mismatches=mismatches,
-        failures=failures,
-        pool_rebuilds=pool_rebuilds,
-        degraded=degraded,
-        reference_dir=os.path.join(workdir, "reference"),
-        faulted_dir=os.path.join(workdir, "faulted"),
-    )
-
-
-@dataclasses.dataclass
-class StoreChaosReport:
-    """Outcome of one :func:`run_store_chaos` campaign."""
-
-    identical: bool
-    seed: int
-    benchmarks: tuple
-    policies: tuple
-    injected: dict          # entry basename -> fault kind
-    quarantined: int        # entries quarantined during the heal run
-    lock_breaks: int        # stale single-flight locks broken
-    store_hits: int         # heal-run jobs served from intact entries
-    regenerated: int        # heal-run jobs that had to re-simulate
-    total_jobs: int
-    mismatches: list        # job_ids whose digest diverged (any phase)
-    stats_digest: str
-    workdir: str
-
-    def as_dict(self):
-        return dataclasses.asdict(self)
-
-    def render(self):
-        lines = ["store chaos campaign: seed=%d" % self.seed]
-        lines.append("  %d benchmark(s) x %d policies (%d jobs) through "
-                     "a populated artifact store"
-                     % (len(self.benchmarks), len(self.policies),
-                        self.total_jobs))
-        lines.append("  injected: %s" % (
-            ", ".join("%s->%s" % (kind, name[:12])
-                      for name, kind in sorted(self.injected.items(),
-                                               key=lambda kv: kv[1]))
-            or "none"))
-        lines.append("  heal run: %d quarantined, %d stale lock(s) "
-                     "broken, %d store hit(s), %d regenerated"
-                     % (self.quarantined, self.lock_breaks,
-                        self.store_hits, self.regenerated))
-        lines.append("  stats digest: %s" % self.stats_digest)
-        lines.append("verdict: %s" % (
-            "bit-identical to the store-free run; corruption was "
-            "quarantined and regenerated"
-            if self.identical else
-            "FAILED: %s" % (self.mismatches
-                            or "(quarantine/lock-break gate)")))
-        return "\n".join(lines)
-
-
-def _exit_immediately():
-    """Target whose prompt death leaves a provably-dead lock owner pid."""
-
-
-def run_store_chaos(benchmarks=("gzip", "mcf"),
-                    policies=("decrypt-only", "authen-then-commit",
-                              "authen-then-issue"),
-                    num_instructions=1500, warmup=750, seed=0,
-                    workdir=None):
-    """Chaos campaign for the persistent artifact store.
-
-    Four phases, all serial (the store's cross-process behaviour is
-    exercised through real files, not a pool):
-
-    1. *Reference*: the sweep with no store -- the digests every later
-       phase must reproduce.
-    2. *Populate*: the same sweep against an empty store (cold), filling
-       the trace and result tiers.
-    3. *Corrupt*: the first job's trace entry is truncated mid-payload,
-       its result entry gets one byte flipped, and a single-flight lock
-       for the truncated trace is planted with the pid of a process that
-       has already exited -- the killed-worker-left-a-lock case.
-    4. *Heal*: the sweep reruns against the damaged store.  The gate:
-       both corrupt entries are quarantined (never misread), the stale
-       lock is broken rather than waited out, every undamaged job is
-       served from the store, exactly the damaged job re-simulates, and
-       all digests are bit-identical to the reference.
-    """
-    import multiprocessing
-
-    from repro.exec.cache import TraceCache
-
-    benchmarks = list(benchmarks)
-    policies = list(policies)
-    jobs = build_jobs(benchmarks, policies,
-                      num_instructions=num_instructions, warmup=warmup)
-    if workdir is None:
-        import tempfile
-
-        workdir = tempfile.mkdtemp(prefix="repro-storechaos-")
-    os.makedirs(workdir, exist_ok=True)
-    store_dir = os.path.join(workdir, "store")
-
-    def run_jobs(store):
-        executor = SerialExecutor(cache=TraceCache())
+        Gates exactly-once: the rerun must re-simulate exactly the jobs
+        with no intact published result (never published, or an entry
+        in ``damaged``) and resume every other one from the store.
+        """
+        owed = {job.job_id for job in self.jobs
+                if not os.path.exists(store.result_path(job))
+                or os.path.basename(store.result_path(job)) in damaged}
+        healer = SerialExecutor(cache=TraceCache())
         with using_store(store):
-            results = executor.run(jobs)
-        return executor, results
+            results = healer.run(units, tracer=self.tracer,
+                                 failure_policy=self.policy)
+        self.settle(healer)
+        rerun = {job_id for job_id, outcome
+                 in healer.last_outcomes.items()
+                 if outcome.status != STATUS_RESUMED}
+        self.count(resumed=len(healer.last_outcomes) - len(rerun),
+                   reexecuted=len(rerun),
+                   store_hits=sum(1 for outcome
+                                  in healer.last_outcomes.values()
+                                  if outcome.store_hit),
+                   quarantined=store.counters["quarantined"],
+                   lock_breaks=store.counters["lock_breaks"])
+        self.gate("exactly-once", rerun == owed)
+        self.compare(results)
+        return results
 
-    _, reference = run_jobs(None)
-    ref_digests = {job.job_id: result_digest(reference[job])
-                   for job in jobs}
-
-    populate_store = ArtifactStore(store_dir)
-    _, populated = run_jobs(populate_store)
-    mismatches = [job.job_id for job in jobs
-                  if result_digest(populated[job])
-                  != ref_digests[job.job_id]]
-
-    # Corruption targets one job end to end: flipping its result forces
-    # a re-simulation, which forces a read of its (truncated) trace,
-    # which forces regeneration under the (stale-locked) single flight.
-    victim = jobs[0]
-    trace_entry = populate_store.trace_name(
-        victim.benchmark, victim.trace_length, victim.effective_seed)
-    trace_path = os.path.join(store_dir, "traces", trace_entry)
-    with open(trace_path, "r+b") as handle:
-        handle.truncate(max(os.path.getsize(trace_path) // 3, 40))
-    result_entry = populate_store.result_name(victim) + ".json"
-    result_path = os.path.join(store_dir, "results", result_entry)
-    with open(result_path, "r+b") as handle:
-        body = bytearray(handle.read())
-        body[len(body) // 2] ^= 0x01
-        handle.seek(0)
-        handle.write(bytes(body))
-    proc = multiprocessing.Process(target=_exit_immediately)
-    proc.start()
-    proc.join()
-    lock_path = os.path.join(store_dir, "locks",
-                             "traces-%s.lock" % trace_entry)
-    with open(lock_path, "w") as handle:
-        # Recording our own hostname keeps the pid-liveness check in
-        # play: locks from *foreign* hosts age out instead (their pids
-        # mean nothing here), which is its own satellite-tested path.
-        json.dump({"pid": proc.pid, "host": socket.gethostname(),
-                   "created": time.time()}, handle)
-    injected = {trace_entry: "entry-truncate",
-                result_entry: "entry-bitflip",
-                os.path.basename(lock_path): "stale-lock"}
-
-    heal_store = ArtifactStore(store_dir)
-    healer, healed = run_jobs(heal_store)
-    for job in jobs:
-        if (job not in healed
-                or result_digest(healed[job]) != ref_digests[job.job_id]):
-            if job.job_id not in mismatches:
-                mismatches.append(job.job_id)
-    store_hits = sum(1 for outcome in healer.last_outcomes.values()
-                     if outcome.store_hit)
-    quarantined = heal_store.counters["quarantined"]
-    lock_breaks = heal_store.counters["lock_breaks"]
-    digests = [ref_digests[job.job_id] for job in jobs]
-    stats_digest = hashlib.sha256("".join(digests).encode()).hexdigest()
-
-    return StoreChaosReport(
-        identical=(not mismatches
-                   and quarantined >= 2
-                   and lock_breaks >= 1
-                   and store_hits == len(jobs) - 1),
-        seed=seed,
-        benchmarks=tuple(benchmarks),
-        policies=tuple(policies),
-        injected=injected,
-        quarantined=quarantined,
-        lock_breaks=lock_breaks,
-        store_hits=store_hits,
-        regenerated=len(jobs) - store_hits,
-        total_jobs=len(jobs),
-        mismatches=mismatches,
-        stats_digest=stats_digest,
-        workdir=workdir,
-    )
+    def report(self):
+        gates = {"bit-identical": not self.mismatches,
+                 "no-terminal-failures": not self.failures}
+        gates.update(self.gates)
+        for fault in self.faults:
+            evidence = self.evidence[fault]
+            if evidence == "retry":
+                ok = fault in self.retried
+            else:
+                need = sum(1 for kind in self.faults
+                           if self.evidence[kind] == evidence)
+                ok = sum(self.counters.get(name, 0)
+                         for name in EVIDENCE[evidence]) >= need
+            gates["evidence:" + fault] = ok
+        self.count(retry_events=sum(1 for event in self.sink.events
+                                    if event.kind == JOB_RETRY))
+        return ChaosReport(
+            scenario=self.scenario, seed=self.seed,
+            faults=tuple(self.faults), injected=self.injected,
+            cells=self.cells, attempts=self.attempts,
+            failures=self.failures, mismatches=self.mismatches,
+            counters=self.counters, gates=gates,
+            stats_digest=hashlib.sha256(
+                "".join(self.digests).encode()).hexdigest(),
+            workdir=self.workdir)
 
 
-@dataclasses.dataclass
-class DistChaosReport:
-    """Outcome of one :func:`run_dist_chaos` campaign."""
+# ---- scenarios --------------------------------------------------------
 
-    identical: bool
-    seed: int
-    benchmarks: tuple
-    policies: tuple
-    total_members: int
-    # host-death campaign
-    host_losses: int        # hosts the driver declared dead
-    lease_breaks: int       # expired leases released back to the spool
-    victim_records: int     # members the victim published before dying
-    exactly_once: bool      # every member published once across hosts
-    duplicates: list        # member job_ids published more than once
-    death_mismatches: list  # digest divergence in the host-death phase
-    # degrade-to-local campaign
-    degraded_ok: bool       # empty fleet finished in-process, identical
-    failures: list          # terminal JobResult dicts from any phase
-    stats_digest: str
-    workdir: str
+def _drive_sweep(c):
+    """Executor path: faults armed on the job grid against a fresh
+    store, then stored results damaged and the grid rerun to heal."""
+    store_dir = _fresh_dir(os.path.join(c.workdir, "store"))
+    plan = build_plan(c.jobs, c.seed, c.faults,
+                      hang_seconds=c.hang_seconds)
+    if FAULT_POOL_INIT in c.faults:
+        sentinel = os.path.join(c.workdir, "pool-init.sentinel")
+        if os.path.exists(sentinel):
+            os.remove(sentinel)
+        plan.arm_init_fault(sentinel)
+        c.injected["first pool"] = FAULT_POOL_INIT
+    store = (EnospcStore(store_dir) if FAULT_STORE_ENOSPC in c.faults
+             else ArtifactStore(store_dir))
+    if FAULT_STORE_ENOSPC in c.faults:
+        c.injected["result publish #%d" % store.fail_at] = \
+            FAULT_STORE_ENOSPC
+    with c.armed(plan) as executor, using_store(store):
+        executor.run(c.jobs, tracer=c.tracer, failure_policy=c.policy)
+        c.settle(executor, plan)
+    c.count(write_errors=store.counters["write_errors"])
+    damaged = damage_store(store_dir, c.jobs, c.faults, c.seed)
+    c.injected.update(damaged)
+    c.rerun(c.jobs, ArtifactStore(store_dir), damaged)
 
-    def as_dict(self):
-        return dataclasses.asdict(self)
 
-    def render(self):
-        lines = ["dist chaos campaign: seed=%d" % self.seed]
-        lines.append("  %d benchmark group(s) x %d policies (%d member "
-                     "jobs) over a shared spool"
-                     % (len(self.benchmarks), len(self.policies),
-                        self.total_members))
-        lines.append("  host death: victim published %d member(s) then "
-                     "died; %d host loss(es), %d lease break(s), "
-                     "re-run exactly once: %s"
-                     % (self.victim_records, self.host_losses,
-                        self.lease_breaks,
-                        "yes" if self.exactly_once
-                        else "NO %s" % self.duplicates))
-        lines.append("  degrade-to-local: %s"
-                     % ("empty fleet finished in-process, bit-identical"
-                        if self.degraded_ok else "FAILED"))
-        if self.failures:
-            lines.append("  TERMINAL FAILURES: %s" % self.failures)
-        lines.append("  stats digest: %s" % self.stats_digest)
-        lines.append("verdict: %s" % (
-            "bit-identical to the fault-free serial run across every "
-            "campaign" if self.identical else
-            "FAILED: %s" % (self.death_mismatches or "(recovery gate)")))
-        return "\n".join(lines)
+def _drive_group(c):
+    """Grouped path (decode once, evaluate N), two faulted runs aimed
+    at a mid-group member (the second policy of the first benchmark):
+
+    - ``worker-kill`` on a pool: the pool keeps dying (a killed worker
+      never charges an attempt) until the executor degrades, where the
+      kill downgrades to an exception the retry policy heals;
+    - ``job-exception`` under fail-fast: the run aborts mid-group,
+      leaving a store holding exactly the members before the victim
+      (members publish incrementally); the rerun must resume exactly
+      those and re-run the rest.
+    """
+    if len(c.policies) < 3:
+        raise ReproError("the group scenario needs >= 3 policies so the "
+                         "fault can land mid-group")
+    groups = c.groups()
+    victim = groups[0].member_jobs[1]
+    if FAULT_WORKER_KILL in c.faults:
+        store = ArtifactStore(
+            _fresh_dir(os.path.join(c.workdir, "group-kill-store")))
+        plan = ChaosPlan(c.seed, {victim.job_id: FAULT_WORKER_KILL})
+        with c.armed(plan) as executor, using_store(store):
+            c.compare(executor.run(groups, tracer=c.tracer,
+                                   failure_policy=c.policy))
+            c.settle(executor, plan)
+    if FAULT_JOB_EXCEPTION in c.faults:
+        store = ArtifactStore(
+            _fresh_dir(os.path.join(c.workdir, "group-resume-store")))
+        # Keyed by cell, not job_id, so ``injected`` keeps both runs'
+        # targets apart.
+        plan = ChaosPlan(c.seed, {"%s/%s" % (victim.benchmark,
+                                             victim.policy):
+                                  FAULT_JOB_EXCEPTION})
+        try:
+            with c.armed(plan, fail_fast=True) as executor, \
+                    using_store(store):
+                executor.run(groups, failure_policy=FailurePolicy())
+        except InjectedFault:
+            c.count(aborts=1)
+        published = {job.job_id for job in c.jobs
+                     if os.path.exists(store.result_path(job))}
+        c.count(published_before_abort=len(published))
+        c.gate("exactly-once", published == {
+            member.job_id for member in groups[0].member_jobs[:1]})
+        c.rerun(groups, store)
+
+
+#: The figure the ``figures`` scenario regenerates, and the policy of
+#: the first benchmark's job its worker-kill targets (fig8 sweeps it).
+FIGURE = "fig8"
+FIGURE_TARGET_POLICY = "authen-then-issue"
+
+
+def _drive_figures(c):
+    """``run_figures`` path: fig8 regenerated serially for reference,
+    then again with a worker-kill armed; artifacts must be byte-equal."""
+    from repro.experiments.figures import run_figures
+
+    scale = dict(c.scale, benchmarks=tuple(c.benchmarks))
+    plan = ChaosPlan(c.seed, {"%s/%s" % (c.benchmarks[0],
+                                         FIGURE_TARGET_POLICY):
+                              FAULT_WORKER_KILL}
+                     if FAULT_WORKER_KILL in c.faults else {})
+    with using_store(None):
+        reference = run_figures(
+            [FIGURE], os.path.join(c.workdir, "reference"), jobs=1,
+            **scale)
+        with c.armed(plan) as executor:
+            faulted = run_figures(
+                [FIGURE], os.path.join(c.workdir, "faulted"),
+                executor=executor, failure_policy=c.policy, **scale)
+    records = [job for entry in faulted["entries"]
+               for job in entry["jobs"]]
+    c.cells.update((job["job_id"], (job["benchmark"], job["policy"]))
+                   for job in records)
+    c.settle(executor, plan, records)
+    with open(reference["artifact_paths"][FIGURE], "rb") as handle:
+        want = handle.read()
+    with open(faulted["artifact_paths"][FIGURE], "rb") as handle:
+        got = handle.read()
+    c.digests = [hashlib.sha256(got).hexdigest()]
+    if want != got:
+        c.mismatches.append(FIGURE)
+
+
+def _drive_store(c):
+    """Artifact-store path: a cold run populates a store, its entries
+    are damaged on disk, and a serial rerun must quarantine the damage
+    (CRC on load), break the stale lock by pid, re-simulate only the
+    damaged job and serve every other one from the result tier."""
+    store_dir = _fresh_dir(os.path.join(c.workdir, "store"))
+    populate = SerialExecutor(cache=TraceCache())
+    with using_store(ArtifactStore(store_dir)):
+        c.compare(populate.run(c.jobs, tracer=c.tracer,
+                               failure_policy=c.policy))
+    c.settle(populate)
+    damaged = damage_store(store_dir, c.jobs, c.faults, c.seed)
+    c.injected.update(damaged)
+    c.rerun(c.jobs, ArtifactStore(store_dir), damaged)
 
 
 def _dist_worker_main(spool, host_id, publish_log, die_after=None,
                       poll=0.05, lease_timeout=1.0):
-    """Child-process entry for the dist campaigns' worker daemons.
+    """Child-process entry for the dist scenario's worker daemons.
 
     Every member this worker publishes is appended to ``publish_log``
     as ``<host_id> <job_id>`` (one ``O_APPEND`` write per line), which
@@ -1066,62 +721,28 @@ def _dist_worker_main(spool, host_id, publish_log, die_after=None,
                     lease_timeout=lease_timeout, on_record=on_record)
 
 
-def run_dist_chaos(benchmarks=("gzip", "mcf"),
-                   policies=("decrypt-only", "authen-then-commit",
-                             "authen-then-issue"),
-                   num_instructions=1500, warmup=750, seed=0,
-                   lease_timeout=1.0, workdir=None):
-    """Chaos campaign for the multi-host work-stealing backend.
+def _drive_dist(c, lease_timeout=1.0):
+    """Shared-spool path, each faulted run on its own spool and that
+    spool's store:
 
-    A fault-free serial run establishes per-member digests, then two
-    campaigns over real worker processes and spool directories, each
-    using the spool's own shared store:
-
-    1. *Host death*: a victim worker claims a group, publishes exactly
-       one member and SIGKILLs itself; a survivor worker plus the
-       driver must detect the expired lease (``HOST_LOST``), re-claim
-       the unit, skip the member the victim already published, and
-       finish the sweep.  Gate: bit-identical results, at least one
-       host loss, and every member published *exactly once* across
-       all hosts.
-    2. *Degrade to local*: a driver over an empty spool with no workers
-       must degrade to in-process execution and still produce
-       bit-identical results.
+    - ``host-death``: a victim worker claims a group, publishes one
+      member and SIGKILLs itself; a survivor plus the driver must reap
+      the expired lease (``HOST_LOST``), re-claim the unit, skip the
+      published member and finish -- every member published exactly
+      once across hosts, the victim's partial progress kept;
+    - ``fleet-vanish``: no worker ever serves the spool; the driver
+      must degrade to in-process execution.
     """
     import multiprocessing
 
     from repro.exec import dist
-    from repro.exec.job import build_job_groups
 
-    benchmarks = list(benchmarks)
-    policies = list(policies)
-    if len(benchmarks) < 2:
-        raise ReproError("dist chaos needs >= 2 benchmarks (the "
+    if len(c.benchmarks) < 2 or len(c.policies) < 2:
+        raise ReproError("the dist scenario needs >= 2 benchmarks (the "
                          "survivor must have work while the victim "
-                         "dies)")
-    if len(policies) < 2:
-        raise ReproError("dist chaos needs >= 2 policies (the victim "
-                         "must die mid-group, after its first member)")
-    jobs = build_jobs(benchmarks, policies,
-                      num_instructions=num_instructions, warmup=warmup)
-    groups = build_job_groups(benchmarks, policies,
-                              num_instructions=num_instructions,
-                              warmup=warmup)
-    member_ids = {job.job_id for job in jobs}
-    with using_store(None):
-        reference = SerialExecutor().run(jobs)
-    ref_digests = {job.job_id: result_digest(reference[job])
-                   for job in jobs}
-
-    if workdir is None:
-        import tempfile
-
-        workdir = tempfile.mkdtemp(prefix="repro-distchaos-")
-    os.makedirs(workdir, exist_ok=True)
-    failures = []
-    retry_policy = FailurePolicy(mode=RETRY_THEN_SKIP, max_attempts=4,
-                                 backoff_base=0.01, backoff_max=0.05,
-                                 jitter_seed=seed)
+                         "dies) and >= 2 policies (the victim must die "
+                         "mid-group)")
+    groups = c.groups()
 
     def reap(proc, timeout=60):
         proc.join(timeout=timeout)
@@ -1129,84 +750,122 @@ def run_dist_chaos(benchmarks=("gzip", "mcf"),
             proc.kill()
             proc.join()
 
-    def mismatched(results):
-        return sorted(job.job_id for job in jobs
-                      if job not in results
-                      or result_digest(results[job])
-                      != ref_digests[job.job_id])
+    if FAULT_HOST_DEATH in c.faults:
+        spool = _fresh_dir(os.path.join(c.workdir, "spool-death"))
+        publish_log = os.path.join(spool, "published.log")
+        dist.ensure_spool(spool)
+        dist.spool_jobs(spool, groups)
+        c.injected["worker victim"] = FAULT_HOST_DEATH
+        with using_store(None):
+            victim = multiprocessing.Process(
+                target=_dist_worker_main,
+                args=(spool, "victim", publish_log),
+                kwargs={"die_after": 1, "lease_timeout": lease_timeout})
+            victim.start()
+            reap(victim)   # it SIGKILLs itself after its first publish
+            survivor = multiprocessing.Process(
+                target=_dist_worker_main,
+                args=(spool, "survivor", publish_log),
+                kwargs={"lease_timeout": lease_timeout})
+            survivor.start()
+            driver = dist.DistExecutor(spool, poll=0.05,
+                                       lease_timeout=lease_timeout,
+                                       degrade_after=120.0)
+            try:
+                c.compare(driver.run(groups, tracer=c.tracer,
+                                     failure_policy=c.policy))
+            finally:
+                dist.request_stop(spool)
+                reap(survivor)
+        c.settle(driver)
+        counts = collections.Counter()
+        victim_records = 0
+        with open(publish_log) as handle:
+            for line in handle:
+                host_id, job_id = line.split()
+                counts[job_id] += 1
+                victim_records += host_id == "victim"
+        c.count(host_losses=driver.host_losses,
+                lease_breaks=driver.lease_breaks,
+                victim_records=victim_records)
+        c.gate("exactly-once", victim_records >= 1
+               and set(counts) == set(c.cells)
+               and all(n == 1 for n in counts.values()))
+    if FAULT_FLEET_VANISH in c.faults:
+        c.injected["every worker"] = FAULT_FLEET_VANISH
+        driver = dist.DistExecutor(
+            _fresh_dir(os.path.join(c.workdir, "spool-local")),
+            poll=0.05, lease_timeout=lease_timeout, degrade_after=0.3)
+        with using_store(None):
+            c.compare(driver.run(groups, tracer=c.tracer,
+                                 failure_policy=c.policy))
+        c.settle(driver)
 
-    # ---- campaign 1: host death ---------------------------------------
-    spool_death = _fresh_dir(os.path.join(workdir, "spool-death"))
-    publish_log = os.path.join(workdir, "published.log")
-    if os.path.exists(publish_log):
-        os.remove(publish_log)
-    dist.ensure_spool(spool_death)
-    dist.spool_jobs(spool_death, groups)
-    with using_store(None):
-        victim = multiprocessing.Process(
-            target=_dist_worker_main,
-            args=(spool_death, "victim", publish_log),
-            kwargs={"die_after": 1, "lease_timeout": lease_timeout})
-        victim.start()
-        reap(victim)   # it SIGKILLs itself after its first publish
-        survivor = multiprocessing.Process(
-            target=_dist_worker_main,
-            args=(spool_death, "survivor", publish_log),
-            kwargs={"lease_timeout": lease_timeout})
-        survivor.start()
-        driver = dist.DistExecutor(spool_death, poll=0.05,
-                                   lease_timeout=lease_timeout,
-                                   degrade_after=120.0)
-        try:
-            death_results = driver.run(groups, failure_policy=retry_policy)
-        finally:
-            dist.request_stop(spool_death)
-            reap(survivor)
-    failures.extend(outcome.as_dict()
-                    for outcome in driver.failures.values())
-    death_mismatches = mismatched(death_results)
-    counts = {}
-    victim_records = 0
-    with open(publish_log) as handle:
-        for line in handle:
-            host_id, job_id = line.split()
-            counts[job_id] = counts.get(job_id, 0) + 1
-            victim_records += host_id == "victim"
-    duplicates = sorted(job_id for job_id, n in counts.items() if n > 1)
-    exactly_once = (set(counts) == member_ids and not duplicates)
 
-    # ---- campaign 2: degrade to local ---------------------------------
-    spool_local = _fresh_dir(os.path.join(workdir, "spool-local"))
-    driver2 = dist.DistExecutor(spool_local, poll=0.05,
-                                lease_timeout=lease_timeout,
-                                degrade_after=0.3)
-    with using_store(None):
-        local_results = driver2.run(groups, failure_policy=retry_policy)
-    failures.extend(outcome.as_dict()
-                    for outcome in driver2.failures.values())
-    degraded_ok = driver2.degraded and not mismatched(local_results)
+Scenario = collections.namedtuple("Scenario",
+                                  "drive faults benchmarks policies")
 
-    digests = [ref_digests[job.job_id] for job in jobs]
-    stats_digest = hashlib.sha256("".join(digests).encode()).hexdigest()
-    return DistChaosReport(
-        identical=(not death_mismatches
-                   and not failures
-                   and driver.host_losses >= 1
-                   and victim_records >= 1
-                   and exactly_once
-                   and degraded_ok),
-        seed=seed,
-        benchmarks=tuple(benchmarks),
-        policies=tuple(policies),
-        total_members=len(jobs),
-        host_losses=driver.host_losses,
-        lease_breaks=driver.lease_breaks,
-        victim_records=victim_records,
-        exactly_once=exactly_once,
-        duplicates=duplicates,
-        death_mismatches=death_mismatches,
-        degraded_ok=degraded_ok,
-        failures=failures,
-        stats_digest=stats_digest,
-        workdir=workdir,
-    )
+_THREE = ("decrypt-only", "authen-then-commit", "authen-then-issue")
+
+#: Each scenario: the path it drives, its default (and armable) faults,
+#: and its default grid.
+SCENARIOS = {
+    "sweep": Scenario(_drive_sweep, ALL_FAULTS, ("gzip",), _THREE),
+    "group": Scenario(_drive_group,
+                      (FAULT_WORKER_KILL, FAULT_JOB_EXCEPTION),
+                      ("gzip", "mcf"), _THREE + ("authen-then-write",)),
+    "figures": Scenario(_drive_figures, (FAULT_WORKER_KILL,),
+                        ("gzip", "mcf"), ()),
+    "store": Scenario(_drive_store,
+                      (FAULT_TRACE_TRUNCATE, FAULT_RESULT_BITFLIP,
+                       FAULT_STALE_LOCK),
+                      ("gzip", "mcf"), _THREE),
+    "dist": Scenario(_drive_dist, (FAULT_HOST_DEATH, FAULT_FLEET_VANISH),
+                     ("gzip", "mcf"), _THREE),
+}
+
+
+def run_chaos(scenario="sweep", benchmarks=None, policies=None,
+              num_instructions=1500, warmup=750, seed=0, faults=None,
+              workers=2, hang_seconds=2.0, timeout=None, workdir=None):
+    """Run one chaos campaign; returns a :class:`ChaosReport`.
+
+    ``scenario`` picks the path (:data:`SCENARIOS`); ``faults`` a subset
+    of that scenario's faults (default: all of them) -- a fault the
+    scenario cannot arm raises :class:`~repro.errors.ReproError`.
+    ``timeout`` is the per-attempt deadline (default: 0.75 s when a
+    ``hang`` is armed, so the deadline -- not the hang's own end --
+    breaks it; none otherwise).  ``benchmarks``/``policies`` default to
+    the scenario's grid; the ``figures`` scenario always regenerates
+    fig8 and takes no policies.
+    """
+    if scenario not in SCENARIOS:
+        raise ReproError("unknown chaos scenario %r (expected %s)"
+                         % (scenario, ", ".join(SCENARIOS)))
+    spec = SCENARIOS[scenario]
+    faults = tuple(spec.faults if faults is None else faults)
+    unknown = [fault for fault in faults if fault not in spec.faults]
+    if unknown:
+        raise ReproError(
+            "unknown fault(s) for the %s scenario: %s (choose from %s)"
+            % (scenario, ", ".join(unknown), ", ".join(spec.faults)))
+    if FAULT_POOL_INIT in faults and workers < 2:
+        raise ReproError("%s needs a worker pool (2 or more workers)"
+                         % FAULT_POOL_INIT)
+    if scenario == "figures" and policies:
+        raise ReproError("the figures scenario regenerates %s and takes "
+                         "no policies" % FIGURE)
+    if timeout is None and FAULT_HANG in faults:
+        timeout = 0.75
+    if workdir is None:
+        import tempfile
+
+        workdir = tempfile.mkdtemp(prefix="repro-chaos-%s-" % scenario)
+    os.makedirs(os.fspath(workdir), exist_ok=True)
+    campaign = _Campaign(
+        scenario, faults, list(benchmarks or spec.benchmarks),
+        list(policies or spec.policies),
+        dict(num_instructions=num_instructions, warmup=warmup), seed,
+        workers, hang_seconds, timeout, os.fspath(workdir))
+    spec.drive(campaign)
+    return campaign.report()

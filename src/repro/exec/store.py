@@ -44,8 +44,8 @@ Bit-identity contract: a loaded trace/prepass exposes the same column
 values (``memoryview('q')`` instead of tuples/lists -- same ints, same
 order), and a loaded result rebuilds its stats through
 ``StatGroup.from_dict``, so warm results are byte-identical to cold
-ones.  ``repro perf`` measures and ``repro chaos --store`` gates
-exactly that.
+ones.  ``repro perf`` measures and ``repro chaos --scenario store``
+gates exactly that.
 
 The store is used only when asked for: via the ``--store`` CLI flag or
 the ``REPRO_STORE`` environment variable (which forked pool workers

@@ -32,12 +32,8 @@ KNOWN_KINDS = ("sweep", "figures", "run", "run-set", "chaos", "metrics")
 def sniff_kind(payload):
     """Classify one loaded JSON artifact; raises ReproError if unknown."""
     kind = payload.get("kind")
-    if kind in ("sweep", "figures", "run", "run-set", "metrics"):
+    if kind in KNOWN_KINDS:
         return kind
-    if "stats_digest" in payload and "faults" in payload:
-        return "chaos"
-    if "reference_dir" in payload and "figures" in payload:
-        return "chaos"  # figures-chaos report
     if "families" in payload:
         return "metrics"
     raise ReproError(
@@ -141,47 +137,45 @@ def _store_write_errors_line(count):
             "those jobs cannot be resumed" % count)
 
 
-def _ingest_chaos(report, payload, key_names):
-    """Fold a chaos report in; ``key_names`` maps job_id -> (bench,
-    policy) from any sweep manifest given alongside, and the report's
-    own ``cells`` map fills in the rest.
-    """
-    key_names = dict(key_names)
-    key_names.update((job_id, tuple(cell)) for job_id, cell
-                     in (payload.get("cells") or {}).items())
-    attempts = payload.get("attempts") or {}
-    failed_ids = {f.get("job_id") for f in payload.get("failures", ())}
-    for job_id, count in sorted(attempts.items()):
-        status = "failed" if job_id in failed_ids else "ok"
+def _ingest_chaos(report, payload):
+    """Fold a chaos report in; its ``cells`` map names every job."""
+    cells = payload.get("cells") or {}
+    errors = {f.get("job_id"): f.get("error")
+              for f in payload.get("failures", ())}
+    for job_id, count in sorted((payload.get("attempts") or {}).items()):
+        status = "failed" if job_id in errors else "ok"
         _count_status(report["jobs"], status, count)
-        benchmark, policy = key_names.get(job_id, (job_id, None))
-        error = None
-        if job_id in failed_ids:
-            for failure in payload["failures"]:
-                if failure.get("job_id") == job_id:
-                    error = failure.get("error")
-        _add_cell(report, benchmark, policy, status, count, error)
-    report["jobs"]["resumed"] += payload.get("resumed_jobs", 0)
-    for job_id, kind in sorted((payload.get("injected") or {}).items()):
+        benchmark, policy = cells.get(job_id, (job_id, None))
+        _add_cell(report, benchmark, policy, status, count,
+                  errors.get(job_id))
+    counters = payload.get("counters") or {}
+    report["jobs"]["resumed"] += counters.get("resumed", 0)
+    for target, kind in sorted((payload.get("injected") or {}).items()):
         report["degradations"].append(
-            "chaos: injected %s into job %s" % (kind, job_id))
-    for note in payload.get("result_corruption", ()):
-        report["degradations"].append("chaos: %s" % note)
-    if payload.get("pool_rebuilds"):
+            "chaos: injected %s into %s" % (kind, target))
+    if counters.get("pool_rebuilds"):
         report["degradations"].append(
             "worker pool rebuilt %d time(s) after worker loss"
-            % payload["pool_rebuilds"])
-    if payload.get("degraded"):
+            % counters["pool_rebuilds"])
+    if counters.get("degraded"):
         report["degradations"].append(
             "backend degraded to serial execution mid-run")
-    if payload.get("store_write_errors"):
+    if counters.get("host_losses"):
         report["degradations"].append(
-            _store_write_errors_line(payload["store_write_errors"]))
-    if payload.get("quarantined_entries"):
+            "lost %d worker host(s) mid-run" % counters["host_losses"])
+    if counters.get("write_errors"):
         report["degradations"].append(
-            "quarantined %d corrupt result entr%s"
-            % (payload["quarantined_entries"],
-               "y" if payload["quarantined_entries"] == 1 else "ies"))
+            _store_write_errors_line(counters["write_errors"]))
+    if counters.get("quarantined"):
+        report["degradations"].append(
+            "quarantined %d corrupt store entr%s"
+            % (counters["quarantined"],
+               "y" if counters["quarantined"] == 1 else "ies"))
+    for gate, ok in (payload.get("gates") or {}).items():
+        if not ok:
+            report["degradations"].append(
+                "chaos: %s campaign FAILED gate %s"
+                % (payload.get("scenario"), gate))
 
 
 def _ingest_metrics(report, payload):
@@ -393,8 +387,6 @@ def build_report(paths, top=10):
     records = _sweep_accounting(payloads)
     if records:
         _ingest_accounting(report, records, top)
-    key_names = {job_id: (info["benchmark"], info["policy"])
-                 for job_id, info in records.items()}
 
     for kind, payload in payloads:
         if kind == "sweep":
@@ -406,7 +398,7 @@ def build_report(paths, top=10):
         elif kind == "run-set":
             _ingest_run_set(report, payload)
         elif kind == "chaos":
-            _ingest_chaos(report, payload, key_names)
+            _ingest_chaos(report, payload)
         elif kind == "metrics":
             _ingest_metrics(report, payload)
     return report

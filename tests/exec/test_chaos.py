@@ -1,23 +1,30 @@
-"""Chaos-harness tests: seeded schedules, stored-result corruption,
-recovery."""
+"""Chaos-harness tests: seeded schedules, on-disk damage, the one runner
+and its gate across every scenario."""
 
 import json
+import os
 
 import pytest
 
 from repro.errors import ReproError
 from repro.exec import ArtifactStore, SerialExecutor, build_jobs
+from repro.exec.cache import TraceCache
 from repro.exec.chaos import (
     ALL_FAULTS,
     FAULT_HANG,
     FAULT_JOB_EXCEPTION,
+    FAULT_POOL_INIT,
     FAULT_RESULT_BITFLIP,
     FAULT_RESULT_TRUNCATE,
+    FAULT_STORE_ENOSPC,
     FAULT_WORKER_KILL,
+    RESULT_FAULTS,
+    SCENARIOS,
     ChaosPlan,
+    EnospcStore,
     InjectedFault,
     build_plan,
-    corrupt_results,
+    damage_store,
     result_digest,
     run_chaos,
 )
@@ -26,6 +33,8 @@ from repro.exec.store import using_store
 JOBS = build_jobs(["gzip"], ["decrypt-only", "authen-then-commit",
                              "authen-then-issue"],
                   num_instructions=600, warmup=300)
+TINY = dict(num_instructions=600, warmup=300)
+TINY_ARGS = ["-n", "600", "--warmup", "300"]
 
 
 class TestBuildPlan:
@@ -33,7 +42,6 @@ class TestBuildPlan:
         one = build_plan(JOBS, seed=5)
         two = build_plan(JOBS, seed=5)
         assert one.job_faults == two.job_faults
-        assert one.result_faults == two.result_faults
 
     def test_different_seed_can_differ(self):
         schedules = {frozenset(build_plan(JOBS, seed=s).job_faults.items())
@@ -55,7 +63,6 @@ class TestBuildPlan:
                           faults=(FAULT_JOB_EXCEPTION,
                                   FAULT_RESULT_TRUNCATE))
         assert set(plan.job_faults.values()) == {FAULT_JOB_EXCEPTION}
-        assert plan.result_faults == (FAULT_RESULT_TRUNCATE,)
 
     def test_faults_fire_on_first_attempt_only(self):
         plan = ChaosPlan(0, {JOBS[0].job_id: FAULT_JOB_EXCEPTION})
@@ -80,7 +87,7 @@ class TestCorruptJournal:
 
     def _heal(self, store):
         """Rerun against the damaged store; returns #re-simulated."""
-        healer = SerialExecutor()
+        healer = SerialExecutor(cache=TraceCache())
         with using_store(store):
             healer.run(JOBS)
         return sum(1 for outcome in healer.last_outcomes.values()
@@ -88,57 +95,59 @@ class TestCorruptJournal:
 
     def test_truncate_tears_final_record(self, store):
         sizes = sorted(st.st_size for _, st in store._entries("results"))
-        applied = corrupt_results(store.root, (FAULT_RESULT_TRUNCATE,),
-                                  seed=0)
-        assert any("truncated" in note for note in applied)
+        damaged = damage_store(store.root, JOBS, (FAULT_RESULT_TRUNCATE,),
+                               seed=0)
+        assert list(damaged.values()) == [FAULT_RESULT_TRUNCATE]
         after = sorted(st.st_size for _, st in store._entries("results"))
         assert len(after) == len(sizes) and after != sizes
         assert self._heal(store) == 1
         assert store.counters["quarantined"] == 1
 
     def test_bitflip_is_caught_by_crc(self, store):
-        applied = corrupt_results(store.root, (FAULT_RESULT_BITFLIP,),
-                                  seed=0)
-        assert any("flipped" in note for note in applied)
+        damaged = damage_store(store.root, JOBS, (FAULT_RESULT_BITFLIP,),
+                               seed=0)
+        assert list(damaged.values()) == [FAULT_RESULT_BITFLIP]
         assert self._heal(store) == 1
         assert store.counters["quarantined"] == 1
 
     def test_missing_journal_is_a_noop(self, tmp_path):
-        assert corrupt_results(tmp_path / "nope", ALL_FAULTS, 0) == []
+        assert damage_store(tmp_path / "nope", JOBS, ALL_FAULTS, 0) == {}
 
 
 class TestRunChaos:
     def test_serial_exception_campaign_converges(self, tmp_path):
-        report = run_chaos(num_instructions=600, warmup=300, seed=1,
-                           faults=(FAULT_JOB_EXCEPTION,
-                                   FAULT_RESULT_TRUNCATE),
-                           workers=1, workdir=str(tmp_path))
-        assert report.identical
+        report = run_chaos(seed=1, faults=(FAULT_JOB_EXCEPTION,
+                                           FAULT_RESULT_TRUNCATE),
+                           workers=1, workdir=str(tmp_path), **TINY)
+        assert report.passed
         assert report.failures == []
         assert FAULT_JOB_EXCEPTION in report.injected.values()
-        assert report.quarantined_entries == 1
-        assert report.reexecuted_jobs == 1
+        assert report.counters["quarantined"] == 1
+        assert report.counters["reexecuted"] == 1
         # The injected job took >1 attempt; everyone else took 1.
         assert any(n > 1 for n in report.attempts.values())
         assert report.as_dict()["stats_digest"] == report.stats_digest
         assert "bit-identical" in report.render()
 
     def test_full_campaign_with_worker_kills_converges(self, tmp_path):
-        report = run_chaos(num_instructions=600, warmup=300, seed=0,
-                           workers=2, hang_seconds=1.0, timeout=0.5,
-                           workdir=str(tmp_path))
-        assert report.identical
+        report = run_chaos(seed=0, workers=2, hang_seconds=1.0,
+                           timeout=0.5, workdir=str(tmp_path), **TINY)
+        assert report.passed, report.render()
         assert report.failures == []
-        assert sorted(report.injected.values()) == sorted(
+        assert sorted(k for k in report.injected.values()
+                      if k in (FAULT_WORKER_KILL, FAULT_JOB_EXCEPTION,
+                               FAULT_HANG)) == sorted(
             [FAULT_WORKER_KILL, FAULT_JOB_EXCEPTION, FAULT_HANG])
-        assert report.pool_rebuilds >= 1  # the kill broke the pool
-        assert report.retry_events >= 1
-        assert report.quarantined_entries == 2
-        assert len(report.result_corruption) == 2
+        assert report.counters["pool_rebuilds"] >= 1  # the kill broke it
+        assert report.counters["retry_events"] >= 1
+        assert report.counters["quarantined"] == 2
+        assert sorted(k for k in report.injected.values()
+                      if k in RESULT_FAULTS) == sorted(RESULT_FAULTS)
+        assert all(report.gates.values())
 
     def test_campaign_is_reproducible(self, tmp_path):
-        kwargs = dict(num_instructions=600, warmup=300, seed=3,
-                      faults=(FAULT_JOB_EXCEPTION,), workers=1)
+        kwargs = dict(seed=3, faults=(FAULT_JOB_EXCEPTION,), workers=1,
+                      **TINY)
         one = run_chaos(workdir=str(tmp_path / "a"), **kwargs)
         two = run_chaos(workdir=str(tmp_path / "b"), **kwargs)
         assert one.stats_digest == two.stats_digest
@@ -161,14 +170,14 @@ class TestChaosCli:
         report_path = tmp_path / "report.json"
         code = main(["chaos", "--seed", "0",
                      "--faults", "job-exception,result-bitflip",
-                     "-n", "600", "--warmup", "300", "-j", "1",
-                     "--workdir", str(tmp_path),
-                     "--emit-json", str(report_path)])
+                     "-j", "1", "--workdir", str(tmp_path),
+                     "--emit-json", str(report_path)] + TINY_ARGS)
         out = capsys.readouterr().out
         assert code == 0
         assert "bit-identical" in out
         payload = json.loads(report_path.read_text())
-        assert payload["identical"] is True
+        assert payload["kind"] == "chaos"
+        assert payload["passed"] is True
         assert payload["faults"] == ["job-exception", "result-bitflip"]
 
     def test_cli_rejects_unknown_fault(self, capsys):
@@ -176,6 +185,56 @@ class TestChaosCli:
 
         assert main(["chaos", "--faults", "gremlins"]) == 2
         assert "unknown fault" in capsys.readouterr().err
+
+    def test_cli_rejects_a_fault_the_scenario_cannot_arm(self, capsys):
+        from repro.cli import main
+
+        assert main(["chaos", "--scenario", "store",
+                     "--faults", "worker-kill"]) == 2
+        assert "store scenario" in capsys.readouterr().err
+        # A pool-initializer fault cannot fire without a pool.
+        assert main(["chaos", "--faults", "pool-init-failure",
+                     "-j", "1"]) == 2
+        assert "needs a worker pool" in capsys.readouterr().err
+
+    def test_unknown_scenario_rejected(self):
+        with pytest.raises(ReproError):
+            run_chaos("nightly")
+
+
+class TestSilentFault:
+    """An armed fault that leaves no evidence must fail the campaign."""
+
+    def test_fault_that_never_fires_fails_the_campaign(self, capsys,
+                                                       tmp_path,
+                                                       monkeypatch):
+        from repro.cli import main
+
+        monkeypatch.setattr(ChaosPlan, "__call__",
+                            lambda self, job, attempt: None)
+        code = main(["chaos", "--faults", "job-exception", "-j", "1",
+                     "--workdir", str(tmp_path)] + TINY_ARGS)
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "SILENT FAULT: job-exception" in out
+        assert "verdict: FAILED" in out
+
+    def test_figures_kill_aimed_at_no_job_fails(self, capsys, tmp_path,
+                                                monkeypatch):
+        # The worker-kill targets a policy the figure never sweeps, so
+        # the fault cannot fire: results stay byte-identical, but the
+        # campaign must still fail instead of passing silently.
+        from repro.cli import main
+        from repro.exec import chaos
+
+        monkeypatch.setattr(chaos, "FIGURE_TARGET_POLICY", "no-such")
+        code = main(["chaos", "--scenario", "figures",
+                     "--benchmark", "gzip",
+                     "--workdir", str(tmp_path)] + TINY_ARGS)
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "SILENT FAULT: worker-kill" in out
+        assert "pool_rebuilds=0" in out
 
 
 class TestInfraFaults:
@@ -188,22 +247,16 @@ class TestInfraFaults:
         assert plan.fault_for(other, 1) is None
 
     def test_init_fault_fires_exactly_once(self, tmp_path):
-        from repro.exec.chaos import FAULT_POOL_INIT
-
-        plan = ChaosPlan(0, {}, infra_faults=(FAULT_POOL_INIT,))
+        plan = ChaosPlan(0, {})
         plan.arm_init_fault(str(tmp_path / "sentinel"))
         with pytest.raises(InjectedFault):
             plan.init_fault()
         plan.init_fault()  # sentinel exists: the rebuilt pool heals
 
     def test_unarmed_init_fault_is_a_noop(self):
-        from repro.exec.chaos import FAULT_POOL_INIT
-
         ChaosPlan(0, {}).init_fault()
-        ChaosPlan(0, {}, infra_faults=(FAULT_POOL_INIT,)).init_fault()
 
     def test_enospc_journal_degrades_not_aborts(self, tmp_path):
-        from repro.exec.chaos import EnospcStore
         from repro.obs import MetricsRegistry, build_report, render_report
         from repro.obs.metrics import write_metrics
         from repro.sim.sweep import PolicySweep
@@ -235,150 +288,109 @@ class TestInfraFaults:
                 "those jobs cannot be resumed") in text
 
     def test_pool_init_campaign_converges(self, tmp_path):
-        from repro.exec.chaos import FAULT_POOL_INIT
-
         report = run_chaos(policies=("decrypt-only",
                                      "authen-then-commit"),
-                           num_instructions=600, warmup=300, seed=0,
-                           faults=(FAULT_POOL_INIT,), workers=2,
-                           workdir=str(tmp_path))
-        assert report.identical
-        assert report.pool_rebuilds >= 1
+                           seed=0, faults=(FAULT_POOL_INIT,), workers=2,
+                           workdir=str(tmp_path), **TINY)
+        assert report.passed
+        assert report.counters["pool_rebuilds"] >= 1
         assert report.failures == []
 
     def test_enospc_campaign_converges(self, tmp_path):
-        from repro.exec.chaos import FAULT_STORE_ENOSPC
-
         report = run_chaos(policies=("decrypt-only",
                                      "authen-then-commit"),
-                           num_instructions=600, warmup=300, seed=0,
-                           faults=(FAULT_STORE_ENOSPC,), workers=1,
-                           workdir=str(tmp_path))
-        assert report.identical
-        assert report.store_write_errors == 1
-        # The failed publish left one job unrecorded: phase 3
+                           seed=0, faults=(FAULT_STORE_ENOSPC,),
+                           workers=1, workdir=str(tmp_path), **TINY)
+        assert report.passed
+        assert report.counters["write_errors"] == 1
+        # The failed publish left one job unrecorded: the rerun
         # re-simulates it instead of resuming it.
-        assert report.reexecuted_jobs == 1
-        assert "store publish failed" in report.render()
+        assert report.counters["reexecuted"] == 1
+        assert "write_errors=1" in report.render()
 
 
 class TestFiguresChaos:
     def test_worker_kill_yields_identical_artifacts(self, tmp_path):
-        from repro.exec.chaos import run_figures_chaos
-
-        report = run_figures_chaos(figures=("fig8",),
-                                   benchmarks=("gzip",),
-                                   num_instructions=600, warmup=300,
-                                   workers=2, workdir=str(tmp_path))
-        assert report.identical
-        assert report.failures == 0
+        report = run_chaos("figures", benchmarks=("gzip",), workers=2,
+                           workdir=str(tmp_path), **TINY)
+        assert report.passed
+        assert report.failures == []
         assert report.mismatches == []
         assert FAULT_WORKER_KILL in report.injected.values()
-        assert report.pool_rebuilds >= 1
+        assert report.counters["pool_rebuilds"] >= 1
         assert "byte-identical" in report.render()
-
-    def test_unknown_figure_rejected(self):
-        from repro.exec.chaos import run_figures_chaos
-
-        with pytest.raises(ReproError):
-            run_figures_chaos(figures=("fig99",))
 
     def test_cli_figures_smoke(self, capsys, tmp_path):
         from repro.cli import main
 
-        code = main(["chaos", "--figures", "fig8",
+        code = main(["chaos", "--scenario", "figures",
                      "--benchmark", "gzip",
-                     "-n", "600", "--warmup", "300",
-                     "--workdir", str(tmp_path)])
+                     "--workdir", str(tmp_path)] + TINY_ARGS)
         assert code == 0
         assert "byte-identical" in capsys.readouterr().out
-
-    def test_cli_figures_rejects_unknown(self, capsys):
-        from repro.cli import main
-
-        assert main(["chaos", "--figures", "fig99"]) == 2
-        assert "unknown figure" in capsys.readouterr().err
 
 
 class TestGroupChaos:
     def test_serial_mid_group_campaign_converges(self, tmp_path):
-        from repro.exec.chaos import run_group_chaos
-
-        report = run_group_chaos(benchmarks=("gzip",),
-                                 num_instructions=600, warmup=300,
-                                 seed=0, workers=1,
-                                 workdir=str(tmp_path))
-        assert report.identical
-        assert report.resume_exact
+        report = run_chaos("group", benchmarks=("gzip",), seed=0,
+                           workers=1, workdir=str(tmp_path), **TINY)
+        assert report.passed
+        assert report.gates["exactly-once"]
         assert report.failures == []
         assert report.mismatches == []
-        # The kill landed mid-group: one member was stored before the
-        # fault, and resume re-ran only the rest.
-        assert report.published_before_kill == 1
-        assert report.resumed_members == 1
-        assert (report.reexecuted_members
-                == report.total_members - report.resumed_members)
+        # The fault landed mid-group: one member was stored before the
+        # abort, and the rerun resumed it and re-ran only the rest.
+        assert report.counters["published_before_abort"] == 1
+        assert report.counters["resumed"] == 1
+        assert (report.counters["reexecuted"]
+                == len(report.cells) - report.counters["resumed"])
         assert "bit-identical" in report.render()
-        assert report.as_dict()["victim"] == report.victim
+        assert report.as_dict()["injected"] == report.injected
 
     def test_pool_worker_kill_campaign_converges(self, tmp_path):
-        from repro.exec.chaos import run_group_chaos
-
-        report = run_group_chaos(benchmarks=("gzip", "mcf"),
-                                 num_instructions=600, warmup=300,
-                                 seed=0, workers=2,
-                                 workdir=str(tmp_path))
-        assert report.identical
-        assert report.pool_rebuilds >= 1   # the kill broke the pool
+        report = run_chaos("group", benchmarks=("gzip", "mcf"), seed=0,
+                           workers=2, workdir=str(tmp_path), **TINY)
+        assert report.passed
+        assert report.counters["pool_rebuilds"] >= 1  # the kill broke it
         assert report.failures == []
 
     def test_needs_enough_policies_for_a_mid_group_fault(self):
-        from repro.exec.chaos import run_group_chaos
-
         with pytest.raises(ReproError):
-            run_group_chaos(policies=("decrypt-only", "lazy"))
+            run_chaos("group", policies=("decrypt-only", "lazy"))
 
     def test_cli_group_smoke(self, capsys, tmp_path):
         from repro.cli import main
 
-        code = main(["chaos", "--group", "--benchmark", "gzip",
-                     "-n", "600", "--warmup", "300",
-                     "--workdir", str(tmp_path)])
+        code = main(["chaos", "--scenario", "group",
+                     "--benchmark", "gzip",
+                     "--workdir", str(tmp_path)] + TINY_ARGS)
         assert code == 0
         out = capsys.readouterr().out
-        assert "exactly the unfinished members" in out
+        assert "exactly-once ok" in out
         assert "bit-identical" in out
 
 
 class TestStoreChaos:
     def test_campaign_quarantines_and_regenerates(self, tmp_path):
-        from repro.exec.chaos import run_store_chaos
-
-        report = run_store_chaos(benchmarks=("gzip",),
-                                 num_instructions=600, warmup=300,
-                                 seed=0, workdir=str(tmp_path))
-        assert report.identical
+        report = run_chaos("store", benchmarks=("gzip",), seed=0,
+                           workdir=str(tmp_path), **TINY)
+        assert report.passed
         assert report.mismatches == []
         # Both damaged entries (trace + result) were quarantined, the
         # dead-pid lock was broken, and exactly the damaged job paid a
         # re-simulation -- every other job came straight from the store.
-        assert report.quarantined == 2
-        assert report.lock_breaks >= 1
-        assert report.regenerated == 1
-        assert report.store_hits == report.total_jobs - 1
+        assert report.counters["quarantined"] == 2
+        assert report.counters["lock_breaks"] >= 1
+        assert report.counters["reexecuted"] == 1
+        assert report.counters["store_hits"] == len(report.cells) - 1
         assert "bit-identical" in report.render()
         assert set(report.as_dict()["injected"].values()) == {
-            "entry-truncate", "entry-bitflip", "stale-lock"}
+            "trace-truncate", "result-bitflip", "stale-lock"}
 
     def test_quarantine_evidence_left_on_disk(self, tmp_path):
-        import os
-
-        from repro.exec.chaos import run_store_chaos
-
-        report = run_store_chaos(benchmarks=("gzip",),
-                                 num_instructions=600, warmup=300,
-                                 workdir=str(tmp_path))
-        assert report.identical
+        report = run_chaos("store", benchmarks=("gzip",),
+                           workdir=str(tmp_path), **TINY)
+        assert report.passed
         quarantine = os.path.join(str(tmp_path), "store", "quarantine")
         assert len(os.listdir(quarantine)) == 2
         assert os.path.exists(os.path.join(str(tmp_path), "store",
@@ -387,10 +399,27 @@ class TestStoreChaos:
     def test_cli_store_smoke(self, capsys, tmp_path):
         from repro.cli import main
 
-        code = main(["chaos", "--store", "--benchmark", "gzip",
-                     "-n", "600", "--warmup", "300",
-                     "--workdir", str(tmp_path)])
+        code = main(["chaos", "--scenario", "store",
+                     "--benchmark", "gzip",
+                     "--workdir", str(tmp_path)] + TINY_ARGS)
         assert code == 0
         out = capsys.readouterr().out
-        assert "store chaos campaign" in out
+        assert "scenario=store" in out
         assert "bit-identical" in out
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_report_reads_every_scenario(scenario, capsys, tmp_path):
+    """Every scenario's --emit-json feeds ``repro report``, which lists
+    the injected faults."""
+    from repro.cli import main
+
+    report_path = tmp_path / "chaos.json"
+    assert main(["chaos", "--scenario", scenario,
+                 "--workdir", str(tmp_path / "work"),
+                 "--emit-json", str(report_path)] + TINY_ARGS) == 0
+    capsys.readouterr()
+    assert main(["report", str(report_path)]) == 0
+    out = capsys.readouterr().out
+    for fault in SCENARIOS[scenario].faults:
+        assert "chaos: injected %s into" % fault in out

@@ -25,7 +25,7 @@ from repro.exec import (
     build_jobs,
     run_worker,
 )
-from repro.exec.chaos import result_digest, run_dist_chaos
+from repro.exec.chaos import result_digest, run_chaos
 from repro.exec.dist import (
     ensure_spool,
     lease_age,
@@ -239,13 +239,14 @@ class TestDistExecutor:
 
 class TestDistChaos:
     def test_campaigns_heal_bit_identically(self, tmp_path):
-        report = run_dist_chaos(num_instructions=N, warmup=WARMUP,
-                                seed=1, workdir=str(tmp_path / "chaos"))
-        assert report.identical, report.render()
-        assert report.host_losses >= 1
-        assert report.victim_records >= 1
-        assert report.exactly_once
-        assert report.degraded_ok
+        report = run_chaos("dist", num_instructions=N, warmup=WARMUP,
+                           seed=1, workdir=str(tmp_path / "chaos"))
+        assert report.passed, report.render()
+        assert report.counters["host_losses"] >= 1
+        assert report.counters["victim_records"] >= 1
+        assert report.gates["exactly-once"]
+        assert report.counters["degraded"] == 1
+        assert report.gates["evidence:fleet-vanish"]
 
 
 class TestSharedStore:

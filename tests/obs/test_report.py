@@ -62,12 +62,14 @@ class TestSniffing:
     def test_kinds(self):
         assert sniff_kind({"kind": "sweep"}) == "sweep"
         assert sniff_kind({"kind": "metrics"}) == "metrics"
-        assert sniff_kind({"stats_digest": "x", "faults": []}) == "chaos"
+        assert sniff_kind({"kind": "chaos", "faults": []}) == "chaos"
         assert sniff_kind({"families": {}}) == "metrics"
         from repro.errors import ReproError
 
         with pytest.raises(ReproError):
             sniff_kind({"mystery": True})
+        with pytest.raises(ReproError):  # chaos shapes need the kind
+            sniff_kind({"stats_digest": "x", "faults": []})
 
 
 class TestBuildReport:
@@ -205,7 +207,7 @@ class TestReportCli:
         from repro.exec.chaos import FAULT_WORKER_KILL, run_chaos
         from repro.obs.export import write_json
 
-        chaos = run_chaos(benchmarks=["gzip"],
+        chaos = run_chaos("sweep", benchmarks=["gzip"],
                           policies=["decrypt-only",
                                     "authen-then-commit"],
                           num_instructions=600, warmup=300, seed=0,
