@@ -184,14 +184,12 @@ def _dist_executor(args):
 
 
 def _cmd_run(args):
-    import time
-
     from repro.config import SimConfig
-    from repro.exec import ParallelExecutor, build_jobs, execute_job
-    from repro.exec.job import build_job_groups
-    from repro.obs import (ChromeTraceSink, JobMetrics, PhaseProfiler,
-                           Tracer, build_run_manifest,
-                           build_run_set_manifest, write_json)
+    from repro.exec import (build_job_groups, build_jobs, execute_job,
+                            make_executor)
+    from repro.obs import (ChromeTraceSink, PhaseProfiler, Tracer,
+                           build_run_manifest, build_run_set_manifest,
+                           write_json)
 
     config = SimConfig().with_l2_size(args.l2 * 1024)
     if args.hash_tree:
@@ -211,50 +209,28 @@ def _cmd_run(args):
     jobs = build_jobs([args.benchmark], policies, config=config,
                       num_instructions=scale["num_instructions"],
                       warmup=scale["warmup"])
-    num_workers = args.jobs
-    if chrome is not None and (num_workers > 1 or args.spool):
-        print("note: --trace-out records per-run events, which only the "
-              "serial backend supports; running with --jobs 1",
-              file=sys.stderr)
-        num_workers = 1
-        args.spool = None
     metrics = _metrics_registry(args)
     _activate_store(args, metrics)
-    dist = _dist_executor(args)
-    if dist is not None:
-        groups = build_job_groups([args.benchmark], policies,
-                                  config=config,
-                                  num_instructions=scale[
-                                      "num_instructions"],
-                                  warmup=scale["warmup"])
-        with dist as executor:
-            results = executor.run(groups, profiler=profiler,
-                                   metrics=metrics)
-    elif num_workers > 1:
-        # One grouped job: the worker decodes the trace once and fans it
-        # out to every requested policy (results keyed per member job,
-        # identical to the per-job expansion below).
-        groups = build_job_groups([args.benchmark], policies,
-                                  config=config,
-                                  num_instructions=scale[
-                                      "num_instructions"],
-                                  warmup=scale["warmup"])
-        with ParallelExecutor(num_workers) as executor:
-            results = executor.run(groups, profiler=profiler,
-                                   metrics=metrics)
-    else:
+    if chrome is not None:
+        # Per-run events come only from execute_job: one traced,
+        # in-process run per policy.
+        if args.jobs > 1 or args.spool:
+            print("note: --trace-out records per-run events in-process; "
+                  "ignoring --jobs/--spool", file=sys.stderr)
         results = {}
-        jm = JobMetrics(metrics)
-        jm.pending.set(len(jobs))
         for job in jobs:
-            if chrome is not None:
-                chrome.begin_process("%s/%s" % (args.benchmark, job.policy))
-            job_started = time.perf_counter()
-            result = execute_job(job, tracer=tracer, profiler=profiler)
-            results[job] = result
-            jm.observe_completed(result,
-                                 time.perf_counter() - job_started)
-            jm.pending.dec()
+            chrome.begin_process("%s/%s" % (args.benchmark, job.policy))
+            results[job] = execute_job(job, tracer=tracer,
+                                       profiler=profiler)
+    else:
+        groups = build_job_groups([args.benchmark], policies,
+                                  config=config,
+                                  num_instructions=scale[
+                                      "num_instructions"],
+                                  warmup=scale["warmup"])
+        with _dist_executor(args) or make_executor(args.jobs) as executor:
+            results = executor.run(groups, profiler=profiler,
+                                   metrics=metrics)
 
     baseline = None
     recorded = []

@@ -19,9 +19,12 @@ columns (the same structure-of-arrays discipline as
 equivalence suite (``tests/cpu/test_shared_kernel.py``) and the perf
 goldens pin the mirror bit-identically against the legacy path.
 
-Supported configurations are gated by :func:`prepass_supported`; the
-grouped executor falls back to the legacy per-policy path for the rest
-(CBC mode, hash trees, address obfuscation, prefetching).
+Supported configurations are gated by :func:`prepass_supported` and
+replayable policies by :func:`policy_supported`.  The executor's one
+model rule (:func:`~repro.exec.executor.uses_kernel`) combines the two
+with "no enabled tracer wants per-run events"; every other member runs
+the legacy per-policy simulator (CBC mode, hash trees, address
+obfuscation, prefetching, obfuscating policies, traced runs).
 """
 
 from repro.secure.metadata import MetadataLayout

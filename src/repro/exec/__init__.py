@@ -2,9 +2,10 @@
 
 Every experiment in this repository is a Cartesian product of
 benchmark x policy x config.  This package gives that product one
-pipeline: describe each point as a frozen :class:`SimJob`, execute it
-with the pure :func:`simulate_job`, and drive whole sets through an
-:class:`Executor` -- serial in-process, fanned out over a process pool,
+pipeline: describe each point as a frozen :class:`SimJob` (or fan one
+trace out to several policies with a :class:`MultiPolicySimJob`), run
+every such unit through the pure :func:`iter_unit_results`, and drive
+whole sets through an :class:`Executor` -- serial in-process, fanned out over a process pool,
 or spooled to worker hosts -- resuming from the artifact store's result
 tier when one is active.  See ``docs/architecture.md`` ("The execution
 layer").
@@ -19,10 +20,9 @@ from repro.exec.executor import (
     default_jobs,
     execute_job,
     executor_scope,
-    iter_group_results,
+    iter_unit_results,
     make_executor,
     set_attempt_hook,
-    simulate_job,
 )
 from repro.exec.job import (
     MultiPolicySimJob,
@@ -57,8 +57,7 @@ __all__ = [
     "build_job_groups",
     "stable_hash",
     "execute_job",
-    "simulate_job",
-    "iter_group_results",
+    "iter_unit_results",
     "Executor",
     "SerialExecutor",
     "ParallelExecutor",

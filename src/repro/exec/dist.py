@@ -4,14 +4,16 @@ The single-host backends stop at one machine's process pool; this
 module scales the same job pipeline across hosts with nothing but a
 shared filesystem (NFS, a bind mount, or plain ``/tmp`` for tests):
 
-- The **driver** (:class:`DistExecutor`) serializes pending
-  :class:`~repro.exec.job.SimJob` / ``MultiPolicySimJob`` units into
+- The **driver** (:class:`DistExecutor`) serializes pending units
+  (:class:`~repro.exec.job.SimJob` or ``MultiPolicySimJob``) into
   ``<spool>/jobs/``, then polls the spool, settling results and
   declaring dead hosts.
 - **Workers** (``repro worker --spool DIR --host-id NAME``, i.e.
   :func:`run_worker`) claim units with the store's single-flight
   ``O_CREAT|O_EXCL`` lease protocol, heartbeat the lease's mtime while
-  executing, and publish each member result with
+  executing them through the one unit pipeline
+  (:func:`~repro.exec.executor.iter_unit_results`), and publish each
+  member result with
   :meth:`~repro.exec.store.ArtifactStore.save_result` into one shared
   artifact store -- the same result tier every other backend resumes
   from.  The driver names that store in ``<spool>/policy.json``: its
@@ -28,7 +30,7 @@ driver charges the unit one attempt under its
 :class:`~repro.exec.retry.FailurePolicy` exactly like a crashed pool
 worker, and emits a ``HOST_LOST`` event.  If every worker vanishes, the
 driver degrades to in-process execution rather than wait forever.
-Because ``simulate_job`` is a pure function of the job spec, every one
+Because the unit pipeline is a pure function of the unit, every one
 of those paths is bit-identical to ``SerialExecutor`` -- ``repro chaos
 --scenario dist`` gates exactly that.
 
@@ -53,8 +55,7 @@ import threading
 import time
 
 from repro.errors import ReproError
-from repro.exec.executor import Executor, iter_group_results, simulate_job
-from repro.exec.job import MultiPolicySimJob
+from repro.exec.executor import Executor, iter_unit_results
 from repro.exec.retry import attempt_deadline
 from repro.exec.store import ArtifactStore, atomic_write_text, tmp_suffix
 
@@ -342,19 +343,11 @@ def _execute_unit(unit, store, timeout=None, on_record=None,
     the unit an attempt instead of waiting for a result that never
     lands.
     """
-    members = (unit.member_jobs if isinstance(unit, MultiPolicySimJob)
-               else [unit])
-    published = {member.job_id for member in members
+    published = {member.job_id for member in unit.member_jobs
                  if store.load_result(member) is not None}
     count = 0
     with attempt_deadline(timeout):
-        if isinstance(unit, MultiPolicySimJob):
-            pairs = iter_group_results(unit, skip=published)
-        elif unit.job_id in published:
-            pairs = []
-        else:
-            pairs = [(unit, simulate_job(unit))]
-        for member, result in pairs:
+        for member, result in iter_unit_results(unit, skip=published):
             if heartbeat is not None and heartbeat.lost:
                 break
             if not store.save_result(member, result):
@@ -563,11 +556,8 @@ class DistExecutor(Executor):
         entries = {}      # member job_id -> its result-entry path
         for unit in pending:
             units[unit.job_id] = unit
-            member_jobs = (unit.member_jobs
-                           if isinstance(unit, MultiPolicySimJob)
-                           else (unit,))
             ids = set()
-            for member in member_jobs:
+            for member in unit.member_jobs:
                 if member.job_id in state.outcomes:
                     continue   # resumed from the store before spooling
                 members[member.job_id] = (unit.job_id, member)
@@ -771,8 +761,8 @@ class DistExecutor(Executor):
 
         Claims each remaining unit exactly like a worker would (so a
         late-returning host cannot double-run it), trims groups to
-        their unsettled members, and reuses the in-process primitives
-        -- results flow through the store and ``state.complete`` like
+        their unsettled members, and runs them through the in-process
+        attempt loop -- results flow through the store and ``state.complete`` like
         any other completion.
         """
         if not self.degraded:
@@ -797,20 +787,15 @@ class DistExecutor(Executor):
             try:
                 unit = units[unit_id]
                 prior = attempts.get(unit_id, 0)
-                if isinstance(unit, MultiPolicySimJob):
-                    live_policies = [member.policy
-                                     for member in unit.member_jobs
-                                     if member.job_id in ids]
-                    trimmed = (unit
-                               if len(live_policies) == len(unit.policies)
-                               else unit.subset(live_policies))
-                    self._run_group(trimmed, results, state,
-                                    prior_attempts=prior,
-                                    started=spooled_at[unit_id])
-                else:
-                    self._run_one(unit, results, state,
-                                  prior_attempts=prior,
-                                  started=spooled_at[unit_id])
+                live_policies = [member.policy
+                                 for member in unit.member_jobs
+                                 if member.job_id in ids]
+                trimmed = (unit
+                           if len(live_policies) == len(unit.policies)
+                           else unit.subset(live_policies))
+                self._run_unit(trimmed, results, state,
+                               prior_attempts=prior,
+                               started=spooled_at[unit_id])
                 outstanding.pop(unit_id, None)
                 try:
                     os.unlink(_job_path(self.spool, unit_id))

@@ -1,23 +1,23 @@
 """Job execution backends: one pipeline, serial or multiprocess.
 
-``execute_job`` is the single place a :class:`~repro.exec.job.SimJob`
-becomes a :class:`~repro.cpu.core.RunResult`: trace from the cache,
-fresh simulator, run, derived metrics.  It is a pure function of the job
-(all simulator state is private to the call), which is what makes the
-two backends interchangeable: :class:`SerialExecutor` runs jobs in-order
-in-process, :class:`ParallelExecutor` fans them out over a
-``ProcessPoolExecutor`` -- and both produce bit-identical cycle counts
-and stats for the same job set.
-
-Grouped jobs: a :class:`~repro.exec.job.MultiPolicySimJob` routes
-through :func:`iter_group_results` instead -- one cached trace and one
-structural prepass (:mod:`repro.cpu.prepass`) fanned out to N
-shared-kernel policy evaluations inside a single worker.  Each member
-evaluation is recorded as the plain :class:`~repro.exec.job.SimJob` it
-replaces, under the identical job_id, so resume/retry/chaos/telemetry
-see exactly the per-job stream they always did; the serial backend
-publishes members incrementally, so a kill mid-group re-runs only the
-unfinished evaluations.
+Every unit of work -- a :class:`~repro.exec.job.SimJob` (a unit of one)
+or a :class:`~repro.exec.job.MultiPolicySimJob` -- runs through
+:func:`iter_unit_results`: one cached trace, one structural prepass
+(:mod:`repro.cpu.prepass`) when any member can use it, then one
+evaluation per member.  :func:`uses_kernel` is the one rule that picks
+each member's timing model: the shared replay kernel when the prepass
+supports the config, the policy can be replayed and no enabled tracer
+asks for per-run events; the legacy :class:`~repro.cpu.core.TimestampCore`
+otherwise.  Both models are bit-identical.  The pipeline is a pure
+function of the unit (all simulator state is private to the call),
+which is what makes the backends interchangeable:
+:class:`SerialExecutor` runs units in order in-process,
+:class:`ParallelExecutor` fans them out over a ``ProcessPoolExecutor``
+-- and both produce bit-identical cycle counts and stats for the same
+job set.  Each member is recorded under its own plain ``job_id``, so
+resume/retry/chaos/telemetry see one per-job stream whatever the unit
+shape; the serial backend publishes members incrementally, so a kill
+mid-group re-runs only the unfinished evaluations.
 
 Resume: the artifact store's result tier (:mod:`repro.exec.store`) is
 the one durable record of finished work.  :meth:`Executor.run` asks the
@@ -35,17 +35,17 @@ The parallel backend additionally survives killed workers: a broken
 pool is torn down and rebuilt with every incomplete job resubmitted,
 and after ``max_rebuilds`` consecutive pool losses the remaining jobs
 degrade to in-process serial execution instead of aborting the sweep.
-Because ``simulate_job`` is pure, none of this perturbs results.
+Because the pipeline is pure, none of this perturbs results.
 
-Observability: each completed job emits a ``JOB_DONE`` event on the
-``jobs`` lane of the supplied tracer and credits the profiler; retries,
-terminal failures and backend degradation emit ``JOB_RETRY``,
-``JOB_FAILED`` and ``BACKEND_DEGRADED`` on the same lane; a store
-publish that dies (ENOSPC) is counted in
-``repro_store_write_errors_total`` and the run continues rather than
-aborting.  The parallel backend cannot thread a tracer into workers
-(sinks do not cross processes), so per-run events are only recorded by
-the serial backend.
+Observability: an executor's tracer receives job-lane events only, on
+every backend -- ``JOB_DONE`` per completed job, ``JOB_RETRY``,
+``JOB_FAILED``, ``BACKEND_DEGRADED`` and (dist) ``HOST_LOST``; the
+profiler is credited per phase.  A store publish that dies (ENOSPC) is
+counted in ``repro_store_write_errors_total`` and the run continues
+rather than aborting.  Per-run simulator events (``ISSUE``,
+``COMMIT``, verify windows, ...) are recorded only by
+:func:`execute_job` with an enabled tracer and by
+:func:`~repro.sim.runner.run_benchmark`.
 """
 
 import os
@@ -55,7 +55,6 @@ from contextlib import contextmanager
 
 from repro.errors import JobTimeoutError
 from repro.exec.cache import GLOBAL_CACHE, cached_trace
-from repro.exec.job import MultiPolicySimJob
 from repro.exec.retry import (
     FAIL_FAST,
     STATUS_FAILED,
@@ -75,9 +74,9 @@ from repro.obs.events import (
 )
 from repro.obs.metrics import JobMetrics
 
-#: Optional fault-injection hook called as ``hook(job, attempt)`` at the
-#: start of every attempt (in the worker process for the pool backend).
-#: Installed by the chaos harness; None in production runs.
+#: Optional fault-injection hook called as ``hook(job, attempt)`` right
+#: before every member evaluation (in the worker process for the pool
+#: backend).  Installed by the chaos harness; None in production runs.
 _ATTEMPT_HOOK = None
 
 
@@ -131,8 +130,9 @@ def execute_job(job, tracer=None, profiler=None, cache=None, store=None):
     call when it holds a completed result for this ``job_id`` under the
     current code fingerprint -- a warm result is bit-identical to a
     simulated one.  Fresh completions are published back.  This is the
-    one-off entry point; the executors look each job up once in their
-    resume pre-pass and then call :func:`simulate_job` directly.
+    one-off entry point, and the only one that threads ``tracer`` into
+    the run itself: an enabled tracer records the run's per-run events
+    (which only the legacy model emits; see :func:`uses_kernel`).
     """
     from repro.exec.store import active_store
 
@@ -143,90 +143,64 @@ def execute_job(job, tracer=None, profiler=None, cache=None, store=None):
         if result is not None:
             result.accounting = _store_hit_accounting(started)
             return result
-    result = simulate_job(job, tracer=tracer, profiler=profiler,
-                          cache=cache)
+    [(_, result)] = iter_unit_results(job, tracer=tracer,
+                                      profiler=profiler, cache=cache)
     if store is not None:
         store.save_result(job, result)
     return result
 
 
-def simulate_job(job, tracer=None, profiler=None, cache=None):
-    """Simulate one job; returns its RunResult (with ``.metrics``).
+def uses_kernel(config, policy, tracer=None):
+    """Whether a member runs on the shared replay kernel.
 
-    Pure with respect to ``job``: every call builds a private simulator,
-    so results do not depend on execution order or backend.
-
-    Resource accounting rides along on ``result.accounting`` -- wall
-    and tracegen seconds, whether the trace came from cache, whether
-    the result was a store hit, and the process's peak RSS.  It is
-    measured here, inside the worker for the pool backend, because the
-    accounting has to cross the pickle boundary with the result; it
-    never touches simulated state.
+    The one place the timing model is chosen.  The kernel serves a
+    member when the structural prepass supports ``config``, ``policy``
+    can be replayed over it, and no enabled ``tracer`` asks for per-run
+    events (only the legacy model emits them).  Every other member runs
+    the legacy :class:`~repro.cpu.core.TimestampCore`.  The two are
+    bit-identical -- the differential suite pins that -- so the choice
+    moves wall time, never a result.
     """
-    from repro.sim.metrics import collect_metrics
-    from repro.sim.runner import build_simulator
+    from repro.cpu.prepass import policy_supported, prepass_supported
 
-    started = time.perf_counter()
-    active_cache = cache if cache is not None else GLOBAL_CACHE
-    hits_before = active_cache.hits
-    gen_before = active_cache.gen_seconds
-    trace = cached_trace(job.benchmark, job.trace_length,
-                         job.effective_seed, profiler=profiler,
-                         cache=active_cache)
-    core, hierarchy = build_simulator(job.config, job.policy, tracer=tracer)
-    result = core.run(trace, warmup=job.warmup, profiler=profiler)
-    if profiler is not None:
-        with profiler.phase("metrics"):
-            result.metrics = collect_metrics(result, hierarchy)
-    else:
-        result.metrics = collect_metrics(result, hierarchy)
-    result.accounting = {
-        "wall_seconds": round(time.perf_counter() - started, 6),
-        "tracegen_seconds": round(active_cache.gen_seconds - gen_before,
-                                  6),
-        "cache_hit": active_cache.hits > hits_before,
-        "store_hit": False,
-        "peak_rss_kb": _peak_rss_kb(),
-    }
-    return result
+    return ((tracer is None or not tracer.enabled)
+            and prepass_supported(config) and policy_supported(policy))
 
 
-def iter_group_results(group, skip=(), tracer=None, profiler=None,
-                       cache=None, attempt_of=None):
-    """Execute a :class:`MultiPolicySimJob`; yields ``(member, result)``.
+def iter_unit_results(unit, skip=(), tracer=None, profiler=None,
+                      cache=None, attempt_of=None):
+    """Execute a unit of work; yields ``(member, result)`` in order.
 
-    One decode serves every member: the trace comes from the cache once
-    and -- when config and policy fit the shared-pass envelope -- one
-    structural prepass (:mod:`repro.cpu.prepass`) feeds the shared
-    timestamp kernel once per policy.  Members outside the envelope
-    (address obfuscation, non-ctr encryption, hash tree, prefetching)
-    run the legacy per-policy simulator on the same cached trace.  Both
-    paths produce results bit-identical to :func:`simulate_job`.
+    ``unit`` is a :class:`~repro.exec.job.SimJob` (a unit of one) or a
+    :class:`~repro.exec.job.MultiPolicySimJob`.  One decode serves
+    every member: the trace comes from the cache once, keyed by
+    ``unit.effective_seed`` (so decorrelated jobs draw their own
+    stream), and one structural prepass feeds the shared kernel for
+    every member :func:`uses_kernel` assigns to it.  The rest run the
+    legacy simulator on the same cached trace, with ``tracer`` threaded
+    through.
 
     ``skip`` is a set of member job_ids to leave out (mid-group resume:
     the retry loop passes the members already settled).
 
     The attempt hook fires once per *member*, right before its
-    evaluation, exactly as the ungrouped pipeline fires it per job --
-    fault injection keyed by member job_id or (benchmark, policy) cell
-    keeps working unchanged.  ``attempt_of(member)`` supplies the
-    attempt number the hook reports (default: 1).
+    evaluation -- fault injection keyed by member job_id or
+    (benchmark, policy) cell lands whatever the unit shape.
+    ``attempt_of(member)`` supplies the attempt number the hook reports
+    (default: 1).
 
-    Accounting mirrors the ungrouped pipeline: the first executed member
-    carries the group's shared cost (tracegen plus prepass) and the
-    cache-lookup verdict; every later member is a pure cache reuse
-    (``cache_hit`` True, zero tracegen), which
-    :meth:`~repro.exec.cache.TraceCache.count_group_reuse` also charges
-    to the cache counters.
+    Accounting: the first executed member carries the unit's shared
+    cost (tracegen plus prepass) and the cache-lookup verdict; every
+    later member is a pure cache reuse (``cache_hit`` True, zero
+    tracegen), which :meth:`~repro.exec.cache.TraceCache.count_group_reuse`
+    also charges to the cache counters.
 
     Results are not looked up in or published to the store's result
     tier here -- the caller owns that (the executors' resume pre-pass
-    and ``_RunState.complete``; the dist worker).  The prepass is
-    store-backed: loaded when present, built and published (under a
-    single-flight lock) when not.
+    and ``_RunState.complete``; the dist worker; :func:`execute_job`).
+    The prepass is store-backed: loaded when present, built and
+    published (under a single-flight lock) when not.
     """
-    from repro.cpu.prepass import (build_prepass, policy_supported,
-                                   prepass_supported)
     from repro.cpu.shared_kernel import replay_policy
     from repro.exec.store import active_store
     from repro.policies import make_policy
@@ -234,25 +208,24 @@ def iter_group_results(group, skip=(), tracer=None, profiler=None,
     from repro.sim.runner import build_simulator
 
     skip = set(skip)
-    members = [m for m in group.member_jobs if m.job_id not in skip]
+    members = [m for m in unit.member_jobs if m.job_id not in skip]
     if not members:
         return
-    store = active_store()
     started = time.perf_counter()
     active_cache = cache if cache is not None else GLOBAL_CACHE
     hits_before = active_cache.hits
     gen_before = active_cache.gen_seconds
-    trace = cached_trace(group.benchmark, group.trace_length,
-                         group.effective_seed, profiler=profiler,
+    trace = cached_trace(unit.benchmark, unit.trace_length,
+                         unit.effective_seed, profiler=profiler,
                          cache=active_cache)
     first_cache_hit = active_cache.hits > hits_before
     tracegen = active_cache.gen_seconds - gen_before
     active_cache.count_group_reuse(len(members) - 1)
     policies = {m.policy: make_policy(m.policy) for m in members}
-    prepass = None
-    if (prepass_supported(group.config)
-            and any(policy_supported(p) for p in policies.values())):
-        prepass = _shared_prepass(group, trace, store, profiler=profiler)
+    kernel = {name for name, policy in policies.items()
+              if uses_kernel(unit.config, policy, tracer)}
+    prepass = (_shared_prepass(unit, trace, active_store(),
+                               profiler=profiler) if kernel else None)
     shared_seconds = time.perf_counter() - started
     for position, member in enumerate(members):
         if _ATTEMPT_HOOK is not None:
@@ -260,23 +233,22 @@ def iter_group_results(group, skip=(), tracer=None, profiler=None,
                           attempt_of(member) if attempt_of is not None
                           else 1)
         member_start = time.perf_counter()
-        policy = policies[member.policy]
-        hierarchy = None
-        if prepass is not None and policy_supported(policy):
-            result = replay_policy(prepass, policy, group.config,
+        if member.policy in kernel:
+            result = replay_policy(prepass, policies[member.policy],
+                                   unit.config,
                                    trace_name=getattr(trace, "name",
                                                       "trace"),
                                    profiler=profiler)
         else:
-            core, hierarchy = build_simulator(group.config, member.policy,
-                                              tracer=tracer)
-            result = core.run(trace, warmup=group.warmup,
+            core, _ = build_simulator(unit.config, member.policy,
+                                      tracer=tracer)
+            result = core.run(trace, warmup=unit.warmup,
                               profiler=profiler)
         if profiler is not None:
             with profiler.phase("metrics"):
-                result.metrics = collect_metrics(result, hierarchy)
+                result.metrics = collect_metrics(result)
         else:
-            result.metrics = collect_metrics(result, hierarchy)
+            result.metrics = collect_metrics(result)
         wall = time.perf_counter() - member_start
         if position == 0:
             wall += shared_seconds
@@ -291,8 +263,8 @@ def iter_group_results(group, skip=(), tracer=None, profiler=None,
         yield member, result
 
 
-def _shared_prepass(group, trace, store, profiler=None):
-    """The group's structural prepass: store-loaded or built-and-saved.
+def _shared_prepass(unit, trace, store, profiler=None):
+    """The unit's structural prepass: store-loaded or built-and-saved.
 
     A store load re-attaches the (cached) trace's packed columns; a
     build publishes under a single-flight lock so concurrent workers
@@ -303,55 +275,41 @@ def _shared_prepass(group, trace, store, profiler=None):
     def build():
         if profiler is not None:
             with profiler.phase("prepass"):
-                return build_prepass(trace, group.config,
-                                     warmup=group.warmup)
-        return build_prepass(trace, group.config, warmup=group.warmup)
+                return build_prepass(trace, unit.config,
+                                     warmup=unit.warmup)
+        return build_prepass(trace, unit.config, warmup=unit.warmup)
 
     if store is None:
         return build()
+    key = (unit.benchmark, unit.trace_length, unit.effective_seed,
+           unit.config, unit.warmup)
     packed = trace.packed()
-    prepass = store.load_prepass(group.benchmark, group.trace_length,
-                                 group.effective_seed, group.config,
-                                 group.warmup, packed)
+    prepass = store.load_prepass(*key, packed)
     if prepass is not None:
         return prepass
-    name = store.prepass_name(group.benchmark, group.trace_length,
-                              group.effective_seed, group.config,
-                              group.warmup)
-    with store.single_flight("prepass", name):
-        prepass = store.load_prepass(group.benchmark, group.trace_length,
-                                     group.effective_seed, group.config,
-                                     group.warmup, packed)
+    with store.single_flight("prepass", store.prepass_name(*key)):
+        prepass = store.load_prepass(*key, packed)
         if prepass is not None:
             return prepass
         prepass = build()
-        store.save_prepass(prepass, group.benchmark, group.trace_length,
-                           group.effective_seed, group.config,
-                           group.warmup)
+        store.save_prepass(prepass, *key)
     return prepass
 
 
-def _pool_worker(job, attempt=1):
-    """Top-level worker entry (must be picklable by ProcessPoolExecutor)."""
-    if _ATTEMPT_HOOK is not None:
-        _ATTEMPT_HOOK(job, attempt)
-    return job.job_id, simulate_job(job)
-
-
-def _pool_worker_group(group, attempt=1):
-    """Pool entry for grouped jobs: runs every member, returns the list.
+def _worker_run_unit(unit, attempt=1):
+    """Pool entry: runs every member of ``unit``, returns the list.
 
     The ``[(member_job_id, result), ...]`` list crosses the pickle
-    boundary whole, so a pool group attempt is all-or-nothing: a worker
-    death mid-group yields no partial results and the retry re-runs the
-    full group (bit-identically, since execution is pure).  The attempt
-    hook fires per member (inside ``iter_group_results``), all
-    reporting the group attempt number.
+    boundary whole, so a pool attempt is all-or-nothing: a worker death
+    mid-group yields no partial results and the retry re-runs the full
+    unit (bit-identically, since execution is pure).  The attempt hook
+    fires per member (inside :func:`iter_unit_results`), all reporting
+    the unit's attempt number.
     """
-    return group.job_id, [
+    return unit.job_id, [
         (member.job_id, result)
-        for member, result in iter_group_results(
-            group, attempt_of=lambda member: attempt)
+        for member, result in iter_unit_results(
+            unit, attempt_of=lambda member: attempt)
     ]
 
 
@@ -360,7 +318,7 @@ class Executor:
 
     backend = "abstract"
     jobs = 1
-    #: Whether a partly-resumed group is trimmed to its unfinished
+    #: Whether a partly-resumed unit is trimmed to its unfinished
     #: members before execution (the dist backend keeps the original
     #: unit: it may already sit in the spool under its own id).
     trim_groups = True
@@ -393,7 +351,8 @@ class Executor:
         ``self.last_outcomes`` / ``self.failures`` for the report.
 
         ``progress(job, result, done, total)`` fires per completion in
-        the calling process.
+        the calling process.  ``tracer`` receives job-lane events only,
+        on every backend; per-run events are :func:`execute_job`'s.
 
         ``metrics`` (a :class:`~repro.obs.metrics.MetricsRegistry`)
         receives the standard execution-layer families -- jobs settled
@@ -424,23 +383,18 @@ class Executor:
                 peak_rss_kb=done.accounting["peak_rss_kb"])
             return True
 
-        for job in jobs:
-            if isinstance(job, MultiPolicySimJob):
-                # Groups resume member-wise: stored members come back
-                # from disk and the group is trimmed to the rest, so a
-                # rerun pays only the evaluations that never finished.
-                total += len(job.policies)
-                remaining = [member.policy for member in job.member_jobs
-                             if not resume(member)]
-                if len(remaining) == len(job.policies):
-                    pending.append(job)
-                elif remaining:
-                    pending.append(job.subset(remaining)
-                                   if self.trim_groups else job)
-            else:
-                total += 1
-                if not resume(job):
-                    pending.append(job)
+        for unit in jobs:
+            # Units resume member-wise: stored members come back from
+            # disk and a group is trimmed to the rest, so a rerun pays
+            # only the evaluations that never finished.
+            total += len(unit.policies)
+            remaining = [member.policy for member in unit.member_jobs
+                         if not resume(member)]
+            if len(remaining) == len(unit.policies):
+                pending.append(unit)
+            elif remaining:
+                pending.append(unit.subset(remaining)
+                               if self.trim_groups else unit)
         state = _RunState(total, len(outcomes), store, tracer, profiler,
                           progress, failure_policy or FailurePolicy(),
                           outcomes, metrics=metrics)
@@ -462,43 +416,14 @@ class Executor:
     def _execute(self, pending, results, state):
         raise NotImplementedError
 
-    def _run_one(self, job, results, state, run_tracer=None, cache=None,
-                 prior_attempts=0, started=None):
-        """In-process attempt loop for one job under the failure policy.
+    def _run_unit(self, unit, results, state, cache=None,
+                  prior_attempts=0, started=None):
+        """The in-process attempt loop for one unit under the policy.
 
-        Shared by the serial backend and the pool backend's degraded
-        path.  ``prior_attempts``/``started`` carry bookkeeping from
-        attempts the pool already spent on the job.
-        """
-        policy = state.policy
-        attempt = prior_attempts
-        start = started if started is not None else time.perf_counter()
-        while True:
-            attempt += 1
-            try:
-                with attempt_deadline(policy.timeout):
-                    if _ATTEMPT_HOOK is not None:
-                        _ATTEMPT_HOOK(job, attempt)
-                    result = simulate_job(job, tracer=run_tracer,
-                                          profiler=state.profiler,
-                                          cache=cache)
-            except Exception as exc:
-                if policy.should_retry(attempt):
-                    delay = policy.backoff(job.job_id, attempt)
-                    state.retry(job, attempt, exc, delay)
-                    if delay:
-                        time.sleep(delay)
-                    continue
-                state.fail(job, attempt, time.perf_counter() - start, exc)
-                return
-            results[job] = result
-            state.complete(job, result, attempts=attempt,
-                           wall=time.perf_counter() - start)
-            return
-
-    def _run_group(self, group, results, state, run_tracer=None,
-                   cache=None, prior_attempts=0, started=None):
-        """In-process attempt loop for one grouped job.
+        Shared by the serial backend, the pool backend's degraded path
+        and the dist driver's local fallback.  ``prior_attempts`` /
+        ``started`` carry bookkeeping from attempts already spent on the
+        unit elsewhere.
 
         Members are published incrementally (each is saved to the store
         and settled by ``state.complete`` before the next starts), so a
@@ -525,10 +450,9 @@ class Executor:
         while True:
             try:
                 with attempt_deadline(policy.timeout):
-                    for member, result in iter_group_results(
-                            group, skip=done_ids, tracer=run_tracer,
-                            profiler=state.profiler, cache=cache,
-                            attempt_of=attempt_of):
+                    for member, result in iter_unit_results(
+                            unit, skip=done_ids, profiler=state.profiler,
+                            cache=cache, attempt_of=attempt_of):
                         results[member] = result
                         done_ids.add(member.job_id)
                         state.complete(member, result,
@@ -536,7 +460,7 @@ class Executor:
                                        wall=(time.perf_counter()
                                              - start))
             except Exception as exc:
-                victim = next(member for member in group.member_jobs
+                victim = next(member for member in unit.member_jobs
                               if member.job_id not in done_ids)
                 count = attempt_of(victim)
                 counts[victim.job_id] = (counts.get(victim.job_id, 0)
@@ -672,9 +596,7 @@ class _RunState:
 class SerialExecutor(Executor):
     """In-process, in-order execution (the reference backend).
 
-    The only backend that can thread a tracer into the runs themselves,
-    so single-run recordings and gap timelines go through it.  Timeouts
-    are enforced with ``SIGALRM`` (POSIX main thread only; see
+    Timeouts are enforced with ``SIGALRM`` (POSIX main thread only; see
     :func:`~repro.exec.retry.attempt_deadline`).
     """
 
@@ -691,14 +613,8 @@ class SerialExecutor(Executor):
         # backend's contribution alone.
         cache = self._cache if self._cache is not None else GLOBAL_CACHE
         evictions_before = cache.evictions
-        for job in pending:
-            if isinstance(job, MultiPolicySimJob):
-                self._run_group(job, results, state,
-                                run_tracer=state.tracer,
-                                cache=self._cache)
-            else:
-                self._run_one(job, results, state,
-                              run_tracer=state.tracer, cache=self._cache)
+        for unit in pending:
+            self._run_unit(unit, results, state, cache=self._cache)
         state.jm.cache_evictions.inc(cache.evictions - evictions_before)
 
 
@@ -782,11 +698,9 @@ class ParallelExecutor(Executor):
                 while queue and len(inflight) < self.jobs:
                     job = queue[0]
                     attempt = attempts.get(job.job_id, 0) + 1
-                    worker = (_pool_worker_group
-                              if isinstance(job, MultiPolicySimJob)
-                              else _pool_worker)
                     try:
-                        future = pool.submit(worker, job, attempt)
+                        future = pool.submit(_worker_run_unit, job,
+                                             attempt)
                     except RuntimeError:  # pool broke under us
                         break
                     queue.pop(0)
@@ -830,21 +744,14 @@ class ParallelExecutor(Executor):
                     else:
                         wall = (time.perf_counter()
                                 - first_start[job.job_id])
-                        if isinstance(job, MultiPolicySimJob):
-                            members = {member.job_id: member
-                                       for member in job.member_jobs}
-                            for member_id, member_result in result:
-                                member = members[member_id]
-                                results[member] = member_result
-                                state.complete(
-                                    member, member_result,
-                                    attempts=attempts[job.job_id],
-                                    wall=wall)
-                        else:
-                            results[job] = result
-                            state.complete(
-                                job, result,
-                                attempts=attempts[job.job_id], wall=wall)
+                        members = {member.job_id: member
+                                   for member in job.member_jobs}
+                        for member_id, member_result in result:
+                            member = members[member_id]
+                            results[member] = member_result
+                            state.complete(member, member_result,
+                                           attempts=attempts[job.job_id],
+                                           wall=wall)
 
                 now = time.monotonic()
                 expired = [future
@@ -892,14 +799,11 @@ class ParallelExecutor(Executor):
             queue.append(job)
         else:
             wall = time.perf_counter() - first_start[job.job_id]
-            if isinstance(job, MultiPolicySimJob):
-                # A pool group attempt is all-or-nothing, so a terminal
-                # failure fails every member (each gets its own
-                # JOB_FAILED outcome under its legacy job_id).
-                for member in job.member_jobs:
-                    state.fail(member, count, wall, exc)
-            else:
-                state.fail(job, count, wall, exc)
+            # A pool attempt is all-or-nothing, so a terminal failure
+            # fails every member (each gets its own JOB_FAILED outcome
+            # under its own job_id).
+            for member in job.member_jobs:
+                state.fail(member, count, wall, exc)
 
     def _maybe_degrade(self, rebuilds, queue, results, state, attempts,
                        first_start):
@@ -911,15 +815,9 @@ class ParallelExecutor(Executor):
                        remaining=len(queue))
         while queue:
             job = queue.pop(0)
-            if isinstance(job, MultiPolicySimJob):
-                self._run_group(job, results, state,
-                                prior_attempts=attempts.get(job.job_id,
-                                                            0),
-                                started=first_start.get(job.job_id))
-            else:
-                self._run_one(job, results, state,
-                              prior_attempts=attempts.get(job.job_id, 0),
-                              started=first_start.get(job.job_id))
+            self._run_unit(job, results, state,
+                           prior_attempts=attempts.get(job.job_id, 0),
+                           started=first_start.get(job.job_id))
         return True
 
     def describe(self):

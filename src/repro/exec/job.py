@@ -2,11 +2,14 @@
 
 A :class:`SimJob` names one point of the benchmark x policy x config
 Cartesian product the paper's figures are built from: which trace to
-generate, which policy to gate with, and at what scale.  Jobs are frozen
-(hashable, picklable) so they can cross process boundaries and key
-result dictionaries, and each job carries a stable content-derived
-``job_id`` so checkpoints written by one process can be resumed by
-another.
+generate, which policy to gate with, and at what scale.  A
+:class:`MultiPolicySimJob` fans one trace out to several policies.
+Both are *units*: each exposes ``member_jobs`` and ``policies`` (a
+plain job is a unit of one), which is all the executors look at.
+Jobs are frozen (hashable, picklable) so they can cross process
+boundaries and key result dictionaries, and each job carries a stable
+content-derived ``job_id`` so results stored by one process can be
+resumed by another.
 """
 
 import dataclasses
@@ -90,6 +93,16 @@ class SimJob:
     def trace_key(self):
         """The trace-cache key: everything trace generation depends on."""
         return (self.benchmark, self.trace_length, self.effective_seed)
+
+    @property
+    def policies(self):
+        """A plain job is a unit of one: its single policy."""
+        return (self.policy,)
+
+    @property
+    def member_jobs(self):
+        """A plain job is a unit of one: itself."""
+        return (self,)
 
     @cached_property
     def job_id(self):

@@ -50,9 +50,9 @@ class _OutcomeRecorder:
             kwargs["metrics"] = self._metrics
         results = self._inner.run(jobs, **kwargs)
         for job in jobs:
-            # A grouped job settles as its member jobs (one outcome per
-            # member job_id), so audit the members, not the group.
-            for member in getattr(job, "member_jobs", (job,)):
+            # A unit settles as its member jobs (one outcome per member
+            # job_id), so audit the members, not the unit.
+            for member in job.member_jobs:
                 self.job_keys[member.job_id] = (member.benchmark,
                                                 member.policy)
         self.outcomes.update(self._inner.last_outcomes)

@@ -132,13 +132,13 @@ def time_group_cell(benchmark, policies, num_instructions=BENCH_INSTRUCTIONS,
                     warmup=BENCH_WARMUP, config=None, repeats=1):
     """Time one benchmark's full policy fan both ways; returns a dict.
 
-    The legacy region is what a one-job-per-cell sweep pays per policy
+    The legacy region is what the reference model pays per policy
     after the trace cache warms: simulator construction plus the full
     replay, once per policy.  The grouped region is what a
     :class:`~repro.exec.job.MultiPolicySimJob` pays: one structural
     prepass plus one shared-kernel replay per policy (policies the
     shared pass cannot express fall back to the legacy build inside the
-    same region, exactly as ``iter_group_results`` does).  Trace
+    same region, exactly as ``iter_unit_results`` does).  Trace
     generation and packing happen before either clock starts -- both
     paths share the cached trace, so it cancels out of the comparison.
 

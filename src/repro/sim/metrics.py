@@ -1,6 +1,6 @@
 """Derived run metrics: everything a memory-system architect asks next.
 
-Computes, from a finished (core, hierarchy) pair:
+Computes, from a finished RunResult (legacy run or kernel replay):
 
 - DRAM traffic decomposition (data reads, writebacks, metadata by kind);
 - bus utilisation and mean queueing delay;
@@ -44,18 +44,15 @@ class RunMetrics:
         return out
 
 
-def collect_metrics(result, hierarchy=None):
+def collect_metrics(result):
     """Build :class:`RunMetrics` from a RunResult.
 
-    Every counter lives in the one shared "sim" :class:`StatGroup`, which
-    the RunResult itself carries (``hierarchy.controller.stats``,
-    ``hierarchy.stats`` and ``result.stats`` are the same object on the
-    legacy path), so ``hierarchy`` is optional: shared-kernel replays
-    (:mod:`repro.cpu.shared_kernel`) have no hierarchy but produce the
-    identical group.
+    Every counter lives in the one shared "sim" :class:`StatGroup` the
+    RunResult carries: on the legacy path the hierarchy, its controller
+    and the core all write into it, and shared-kernel replays
+    (:mod:`repro.cpu.shared_kernel`) produce the identical group.
     """
-    stats = (hierarchy.controller.stats if hierarchy is not None
-             else result.stats)
+    stats = result.stats
     cycles = max(result.cycles, 1)
 
     reads = stats["line_reads"].value
@@ -72,16 +69,15 @@ def collect_metrics(result, hierarchy=None):
     wait = stats["wait_cycles"].value
 
     read_latency = stats["read_latency"]
-    hier_stats = hierarchy.stats if hierarchy is not None else stats
-    auth_requests = (hier_stats["auth_requests"].value
-                     if "auth_requests" in hier_stats else 0)
-    queue_full = (hier_stats["auth_queue_full"].value
-                  if "auth_queue_full" in hier_stats else 0)
-    if "decrypt_verify_gap" in hier_stats:
-        gap_hist = hier_stats["decrypt_verify_gap"]
+    auth_requests = (stats["auth_requests"].value
+                     if "auth_requests" in stats else 0)
+    queue_full = (stats["auth_queue_full"].value
+                  if "auth_queue_full" in stats else 0)
+    if "decrypt_verify_gap" in stats:
+        gap_hist = stats["decrypt_verify_gap"]
         gap = gap_hist.mean()
         # percentile/max_key return None on an empty histogram; the run
-        # metrics keep the historical 0 so journal records stay stable.
+        # metrics keep the historical 0 so stored results stay stable.
         gap_p50 = gap_hist.percentile(50) or 0
         gap_p95 = gap_hist.percentile(95) or 0
         gap_max = gap_hist.max_key() or 0
@@ -117,14 +113,14 @@ def run_with_metrics(trace, config=None, policy="decrypt-only",
     from repro.config import SimConfig
     from repro.sim.runner import build_simulator
 
-    core, hierarchy = build_simulator(config or SimConfig(), policy,
-                                      tracer=tracer)
+    core, _ = build_simulator(config or SimConfig(), policy,
+                              tracer=tracer)
     result = core.run(trace, warmup=warmup, profiler=profiler)
     if profiler is not None:
         with profiler.phase("metrics"):
-            metrics = collect_metrics(result, hierarchy)
+            metrics = collect_metrics(result)
     else:
-        metrics = collect_metrics(result, hierarchy)
+        metrics = collect_metrics(result)
     return result, metrics
 
 

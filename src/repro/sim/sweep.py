@@ -5,12 +5,12 @@ into job specs and hands them to an
 :class:`~repro.exec.executor.Executor` -- serial by default, or a
 process pool via ``run(executor=...)`` / the ``REPRO_JOBS`` env var.
 
-By default the grid is expanded *grouped*: one
+The grid is expanded *grouped*: one
 :class:`~repro.exec.job.MultiPolicySimJob` per benchmark decodes the
-trace once and evaluates every policy against it through the shared
-timestamp kernel (``run(grouped=False)`` keeps the historical
-one-job-per-cell expansion; results are bit-identical either way, and
-both shapes resume under the same per-cell job_ids).  Results
+trace once and evaluates every policy against it -- through the shared
+replay kernel where :func:`~repro.exec.executor.uses_kernel` allows,
+the legacy simulator otherwise (bit-identical either way).  Every
+cell still resumes and reports under its own per-cell job_id.  Results
 normalise against the decrypt-only baseline (the paper's Figure 7
 presentation) or against authen-then-issue (Figures 8/11/13).
 """
@@ -42,7 +42,6 @@ class PolicySweep:
         self.job_outcomes = {}  # job_id -> JobResult (attempts, status)
         self.executed_policies = list(self.policies)
         self.backend = None     # executor.describe() of the last run
-        self.grouped = None     # whether the last run used grouped jobs
 
     def policy_order(self, include_baseline=True):
         """Deterministic execution order for the sweep's policies.
@@ -61,7 +60,7 @@ class PolicySweep:
         """The sweep's per-cell job list (benchmark-major, deterministic).
 
         This is the resume-facing view: one :class:`SimJob` id per
-        (benchmark, policy) cell, whether or not execution is grouped.
+        (benchmark, policy) cell, though execution is grouped.
         """
         return build_jobs(self.benchmarks,
                           self.policy_order(include_baseline),
@@ -79,7 +78,7 @@ class PolicySweep:
 
     def run(self, include_baseline=True, profiler=None, tracer=None,
             executor=None, progress=None, failure_policy=None,
-            metrics=None, grouped=True):
+            metrics=None):
         """Execute the sweep; returns self for chaining.
 
         ``executor`` picks the backend (default: serial, or whatever
@@ -93,30 +92,25 @@ class PolicySweep:
         terminally under a skipping policy are absent from
         ``self.results`` (see :meth:`failed_jobs`).  ``profiler``
         accumulates phase wall clock over the whole sweep; ``tracer``
-        receives per-run events (serial backend only) plus one
-        ``JOB_DONE`` progress event per completed job; ``progress`` is
+        receives the executor's job-lane events (one ``JOB_DONE`` per
+        completed job, plus retries, failures and degradation) on every
+        backend -- per-run simulator events come only from
+        :func:`~repro.exec.executor.execute_job`; ``progress`` is
         called as ``progress(job, result, done, total)``; ``metrics``
         (a :class:`~repro.obs.metrics.MetricsRegistry`) receives the
         execution-layer families plus a per-cell
         ``repro_sweep_cells_total{benchmark,policy,status}`` rollup.
-
-        ``grouped`` (default True) runs each benchmark as one
-        :class:`~repro.exec.job.MultiPolicySimJob` -- decode once,
-        evaluate every policy -- instead of one job per cell; cycle
-        counts, stats, stored results and per-cell bookkeeping are
-        identical either way.
         """
         jobs = self.jobs(include_baseline)
-        units = self.job_groups(include_baseline) if grouped else jobs
         with executor_scope(executor) as active:
-            results = active.run(units, tracer=tracer,
+            results = active.run(self.job_groups(include_baseline),
+                                 tracer=tracer,
                                  profiler=profiler, progress=progress,
                                  failure_policy=failure_policy,
                                  metrics=metrics)
             self.backend = active.describe()
             self.job_outcomes.update(active.last_outcomes)
         self.executed_policies = self.policy_order(include_baseline)
-        self.grouped = grouped
         for job in jobs:
             self.job_ids[(job.benchmark, job.policy)] = job.job_id
             if job in results:

@@ -139,7 +139,7 @@ class StatGroup:
 
         Inverse of :meth:`as_dict` up to JSON round-tripping: histogram
         bucket keys that JSON turned into digit strings come back as
-        ints.  This is what lets checkpoint journals hand back live
+        ints.  This is what lets stored results hand back live
         ``StatGroup``s instead of bare dicts.
         """
         group = cls(name)

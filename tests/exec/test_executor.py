@@ -16,8 +16,9 @@ from repro.exec import (
     make_executor,
     set_attempt_hook,
 )
+from repro.exec.chaos import result_digest
 from repro.obs import MemorySink, PhaseProfiler, Tracer
-from repro.obs.events import JOB_DONE
+from repro.obs.events import COMMIT, ISSUE, JOB_DONE, LANE_JOBS
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.progress import ProgressLine
 
@@ -86,10 +87,18 @@ class TestExecuteJob:
         assert execute_job(job).cycles == execute_job(job).cycles
 
     def test_profiler_phases(self):
+        # A job the kernel serves: trace, structural prepass, replay.
         profiler = PhaseProfiler()
         execute_job(JOBS[0], profiler=profiler, cache=TraceCache())
-        for phase in ("tracegen", "warmup", "measure", "metrics"):
-            assert profiler.seconds(phase) >= 0.0
+        assert set(profiler.as_dict()) == {"tracegen", "prepass", "replay",
+                                           "metrics"}
+        assert profiler.seconds("replay") > 0.0
+        # A traced job runs the legacy model, split warmup/measure.
+        profiler = PhaseProfiler()
+        execute_job(JOBS[0], profiler=profiler, cache=TraceCache(),
+                    tracer=Tracer([MemorySink()]))
+        assert set(profiler.as_dict()) == {"tracegen", "warmup", "measure",
+                                           "metrics"}
         assert profiler.seconds("measure") > 0.0
 
 
@@ -186,6 +195,24 @@ class TestProgressHooks:
             executor.run(JOBS[:2], tracer=Tracer([sink]))
         done = [e for e in sink.events if e.kind == JOB_DONE]
         assert len(done) == 2
+
+
+class TestTracerContract:
+    """Executors record job-lane events; execute_job records the run."""
+
+    def test_executor_records_job_lane_only(self):
+        sink = MemorySink()
+        SerialExecutor().run(JOBS, tracer=Tracer([sink]))
+        assert sink.events
+        assert {e.lane for e in sink.events} == {LANE_JOBS}
+
+    def test_execute_job_records_per_run_events(self):
+        sink = MemorySink()
+        traced = execute_job(JOBS[1], tracer=Tracer([sink]),
+                             cache=TraceCache())
+        assert {ISSUE, COMMIT} <= {e.kind for e in sink.events}
+        untraced = execute_job(JOBS[1], cache=TraceCache())
+        assert result_digest(traced) == result_digest(untraced)
 
 
 class TestMakeExecutor:

@@ -1,25 +1,37 @@
-"""Grouped (decode once, evaluate N) execution pipeline tests.
+"""The one unit pipeline: grouped and unit-of-one execution tests.
 
 One :class:`MultiPolicySimJob` must be observably indistinguishable
 from the N plain jobs it replaces: identical member job_ids, identical
 results on every backend, store resume that re-runs only unfinished
 members, and cache accounting that credits the in-group
-trace reuse.
+trace reuse.  A plain :class:`SimJob` runs through the same pipeline as
+a unit of one and must match the legacy reference model on every
+backend, whichever timing model served it.
 """
 
 import pytest
 
+from repro.config import SimConfig
+from repro.cpu.prepass import policy_supported, prepass_supported
 from repro.exec import (
     ArtifactStore,
     ParallelExecutor,
     SerialExecutor,
+    SimJob,
     TraceCache,
     build_job_groups,
     build_jobs,
+    cached_trace,
+    execute_job,
 )
+from repro.exec.chaos import result_digest
 from repro.exec.store import using_store
 from repro.exec.job import MultiPolicySimJob
 from repro.exec.retry import STATUS_OK, STATUS_RESUMED
+from repro.obs import PhaseProfiler
+from repro.policies import make_policy
+from repro.sim.metrics import collect_metrics
+from repro.sim.runner import build_simulator
 
 BENCHMARKS = ("gzip", "mcf")
 POLICIES = ("decrypt-only", "authen-then-commit", "authen-then-issue",
@@ -30,10 +42,32 @@ GROUPS = build_job_groups(BENCHMARKS, POLICIES,
                           num_instructions=N, warmup=W)
 PLAIN = build_jobs(BENCHMARKS, POLICIES, num_instructions=N, warmup=W)
 
+CONFIGS = {
+    "base": SimConfig(),
+    "hash-tree": SimConfig().with_secure(hash_tree_enabled=True),
+    "obfuscation": SimConfig().with_secure(obfuscation_enabled=True),
+}
+
+
+def oracle(job):
+    """The legacy reference model, called directly (no executor)."""
+    trace = cached_trace(job.benchmark, job.trace_length,
+                         job.effective_seed)
+    core, _ = build_simulator(job.config, job.policy)
+    result = core.run(trace, warmup=job.warmup)
+    result.metrics = collect_metrics(result)
+    return result
+
 
 @pytest.fixture(scope="module")
 def plain_results():
-    return SerialExecutor().run(PLAIN)
+    return {job: oracle(job) for job in PLAIN}
+
+
+@pytest.fixture(scope="module")
+def pool():
+    with ParallelExecutor(2) as executor:
+        yield executor
 
 
 class TestGroupSpec:
@@ -153,3 +187,37 @@ class TestGroupCacheAccounting:
             accounting = by_policy[policy].accounting
             assert accounting["cache_hit"] is True
             assert accounting["tracegen_seconds"] == 0.0
+
+
+class TestUnitOfOne:
+    """A plain SimJob runs through the unit pipeline as a unit of one."""
+
+    def test_plain_job_is_a_unit_of_one(self):
+        job = PLAIN[0]
+        assert job.member_jobs == (job,)
+        assert job.policies == (job.policy,)
+
+    @pytest.mark.parametrize("decorrelate", [False, True],
+                             ids=["shared-seed", "decorrelated"])
+    @pytest.mark.parametrize("policy",
+                             ["authen-then-commit", "commit+obfuscation"])
+    @pytest.mark.parametrize("config_name", sorted(CONFIGS))
+    def test_every_path_matches_oracle(self, pool, config_name, policy,
+                                       decorrelate):
+        job = SimJob("gzip", policy, config=CONFIGS[config_name],
+                     num_instructions=N, warmup=W, decorrelate=decorrelate)
+        expected = oracle(job)
+        profiler = PhaseProfiler()
+        runs = [SerialExecutor().run([job], profiler=profiler)[job],
+                pool.run([job])[job],
+                execute_job(job)]
+        for result in runs:
+            assert result_digest(result) == result_digest(expected)
+            assert result.metrics.as_dict() == expected.metrics.as_dict()
+        # The kernel runs exactly when the prepass supports the config
+        # and the policy can be replayed; the legacy model otherwise.
+        kernel = (prepass_supported(job.config)
+                  and policy_supported(make_policy(policy)))
+        phases = profiler.as_dict()
+        assert ("replay" in phases) == kernel
+        assert ("measure" in phases) == (not kernel)
