@@ -569,6 +569,7 @@ def _cmd_attack(args):
 
 
 def _cmd_perf(args):
+    from repro.cpu import native
     from repro.perf.bench import (check_goldens, render_group_table,
                                   render_table, run_group_matrix,
                                   run_matrix, write_report)
@@ -582,9 +583,11 @@ def _cmd_perf(args):
             for line in mismatches:
                 print("  " + line, file=sys.stderr)
             return 1
-        print("golden parity OK: %d cells bit-identical through both "
-              "the legacy and the shared-pass path"
-              % len(GOLDEN_CYCLES))
+        print("golden parity OK: %d cells bit-identical through %s"
+              % (len(GOLDEN_CYCLES),
+                 "both the legacy and the shared-pass path"
+                 if native.native_available() else
+                 "the legacy path (no native kernel)"))
         return 0
 
     report = run_matrix(num_instructions=args.instructions,

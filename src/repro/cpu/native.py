@@ -1,25 +1,28 @@
-"""Optional native (C) build of the shared timestamp kernel.
+"""Native (C) build of the shared timestamp kernel.
 
 The decode-once/evaluate-many pipeline makes the per-policy replay the
 hot loop of every multi-policy sweep: one
 :class:`~repro.cpu.prepass.TracePrepass` is walked once per registered
 policy, and the walk is pure int64 arithmetic over flat columns -- a
 shape the system C compiler turns into code an order of magnitude
-faster than the CPython interpreter loop.  This module carries a
-line-for-line C port of the pure-Python kernel in
-:mod:`repro.cpu.shared_kernel`, compiles it at first use, and drives it
-through :mod:`ctypes`.
+faster than the CPython interpreter loop.  This module carries the only
+implementation of that replay loop (a port of
+:meth:`repro.cpu.core.TimestampCore.run` over prepass columns), compiles
+it at first use, and drives it through :mod:`ctypes`.
 
-Everything is integer arithmetic, so the native replay is
-*bit-identical* to the pure-Python one: the differential suite in
-``tests/cpu/`` pins native == python == legacy, and ``repro perf
---check`` gates the pinned goldens.  The kernel is strictly optional --
-no C compiler, a failed compile, or ``REPRO_NATIVE=0`` in the
-environment all fall back to the pure-Python replay with identical
-results (``REPRO_NATIVE=require`` turns an unavailable kernel into an
-error, for CI jobs that must measure the native path).
+Everything is integer arithmetic, so the replay is *bit-identical* to
+the legacy simulator: the differential suite in ``tests/cpu/`` pins
+native == legacy, and ``repro perf --check`` gates the pinned goldens.
+The kernel is optional for the program but not for a replay: with no
+C compiler, a failed compile, or ``REPRO_NATIVE=0`` in the environment,
+:func:`native_available` is False, :func:`replay` raises, and the
+executor's model rule (:func:`repro.exec.executor.uses_kernel`) runs
+every member on the legacy simulator instead, with identical results.
+``REPRO_NATIVE=require`` turns an unavailable kernel into an error,
+for CI jobs that must measure the native path.
 
-The compiled object is cached as
+The compiler is ``$CC`` (default ``cc``), split like a shell word list
+so ``CC="ccache cc"`` works.  The compiled object is cached as
 ``<tmpdir>/repro-kernel-<source-hash>.so``; each machine compiles once
 and process-pool workers just dlopen the cached object.  The prepass
 columns are marshalled to flat int64 arrays once per trace
@@ -30,6 +33,7 @@ replays of a group.
 import ctypes
 import hashlib
 import os
+import shlex
 import subprocess
 import tempfile
 from array import array
@@ -692,7 +696,8 @@ def _mode():
 
 
 def _compiler():
-    return os.environ.get("CC", "cc")
+    """``$CC`` as an argv prefix (it may carry flags or a wrapper)."""
+    return shlex.split(os.environ.get("CC", "cc")) or ["cc"]
 
 
 def _ensure_compiled():
@@ -709,9 +714,13 @@ def _ensure_compiled():
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(_C_SOURCE)
-        subprocess.run(
-            [_compiler(), "-O2", "-shared", "-fPIC", "-o", tmp_so, c_path],
-            check=True, capture_output=True, timeout=120)
+        argv = _compiler() + ["-O2", "-shared", "-fPIC", "-o", tmp_so,
+                              c_path]
+        done = subprocess.run(argv, capture_output=True, text=True,
+                              timeout=120)
+        if done.returncode != 0:
+            raise RuntimeError("%s exited %d: %s" % (
+                shlex.join(argv), done.returncode, done.stderr.strip()))
         os.replace(tmp_so, so_path)  # atomic: racing workers both win
     finally:
         for leftover in (c_path, tmp_so):
@@ -736,12 +745,12 @@ def _load():
         fn.restype = ctypes.c_int64
         fn.argtypes = [ctypes.c_void_p] * 18
         _lib = lib
-    except Exception:
-        _lib = None
-    if _lib is None and _mode() == "require":
-        raise RuntimeError(
-            "REPRO_NATIVE=require but the native kernel could not be "
-            "compiled/loaded (is a C compiler installed?)")
+    except Exception as exc:
+        if _mode() == "require":
+            raise RuntimeError(
+                "REPRO_NATIVE=require but the native kernel could not be "
+                "compiled/loaded (is a C compiler installed?)"
+            ) from exc
     return _lib
 
 
@@ -827,16 +836,18 @@ def _pack_cfg(prepass, c):
 
 
 def replay(prepass, c):
-    """Run the native kernel; returns the output payload dict, or None.
+    """Run the native kernel; returns the output payload dict.
 
     ``c`` is the constants dict from
-    :func:`repro.cpu.shared_kernel._policy_constants`.  A None return
-    (kernel off, unavailable, or an internal allocation failure) tells
-    the caller to use the pure-Python loop instead.
+    :func:`repro.cpu.shared_kernel._policy_constants`.  Raises
+    ``RuntimeError`` when the kernel is off or unavailable and
+    ``MemoryError`` when the kernel cannot allocate its working state.
     """
     lib = _load()
     if lib is None:
-        return None
+        raise RuntimeError(
+            "the native replay kernel is unavailable (REPRO_NATIVE=0, or "
+            "no working C compiler); use the legacy simulator")
     buf = _buffers(prepass)
     cfg = _pack_cfg(prepass, c)
     n_misses = prepass.n_misses
@@ -848,7 +859,8 @@ def replay(prepass, c):
         *[_addr(column) for column in buf],
         _addr(lat_out), _addr(gap_out), _addr(out))
     if rc != 0:
-        return None
+        raise MemoryError("native replay kernel could not allocate its "
+                          "working state (rc=%d)" % rc)
     read_lat_buckets = {}
     for m in range(n_misses):
         lat = lat_out[m]

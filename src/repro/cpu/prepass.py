@@ -22,9 +22,11 @@ goldens pin the mirror bit-identically against the legacy path.
 Supported configurations are gated by :func:`prepass_supported` and
 replayable policies by :func:`policy_supported`.  The executor's one
 model rule (:func:`~repro.exec.executor.uses_kernel`) combines the two
-with "no enabled tracer wants per-run events"; every other member runs
-the legacy per-policy simulator (CBC mode, hash trees, address
-obfuscation, prefetching, obfuscating policies, traced runs).
+with "the compiled replay kernel is available" and "no enabled tracer
+wants per-run events"; every other member runs the legacy per-policy
+simulator (CBC mode, hash trees, address obfuscation, prefetching,
+obfuscating policies, traced runs, hosts without a C compiler), and no
+prepass is built for a unit none of whose members uses the kernel.
 """
 
 from repro.secure.metadata import MetadataLayout

@@ -5,12 +5,13 @@ or a :class:`~repro.exec.job.MultiPolicySimJob` -- runs through
 :func:`iter_unit_results`: one cached trace, one structural prepass
 (:mod:`repro.cpu.prepass`) when any member can use it, then one
 evaluation per member.  :func:`uses_kernel` is the one rule that picks
-each member's timing model: the shared replay kernel when the prepass
-supports the config, the policy can be replayed and no enabled tracer
-asks for per-run events; the legacy :class:`~repro.cpu.core.TimestampCore`
-otherwise.  Both models are bit-identical.  The pipeline is a pure
-function of the unit (all simulator state is private to the call),
-which is what makes the backends interchangeable:
+each member's timing model: the compiled replay kernel when it is
+available, the prepass supports the config, the policy can be replayed
+and no enabled tracer asks for per-run events; the legacy
+:class:`~repro.cpu.core.TimestampCore` otherwise.  Both models are
+bit-identical.  The pipeline is a pure function of the unit (all
+simulator state is private to the call), which is what makes the
+backends interchangeable:
 :class:`SerialExecutor` runs units in order in-process,
 :class:`ParallelExecutor` fans them out over a ``ProcessPoolExecutor``
 -- and both produce bit-identical cycle counts and stats for the same
@@ -154,17 +155,21 @@ def uses_kernel(config, policy, tracer=None):
     """Whether a member runs on the shared replay kernel.
 
     The one place the timing model is chosen.  The kernel serves a
-    member when the structural prepass supports ``config``, ``policy``
-    can be replayed over it, and no enabled ``tracer`` asks for per-run
-    events (only the legacy model emits them).  Every other member runs
-    the legacy :class:`~repro.cpu.core.TimestampCore`.  The two are
-    bit-identical -- the differential suite pins that -- so the choice
-    moves wall time, never a result.
+    member when the compiled kernel is available
+    (:func:`repro.cpu.native.native_available`), the structural prepass
+    supports ``config``, ``policy`` can be replayed over it, and no
+    enabled ``tracer`` asks for per-run events (only the legacy model
+    emits them).  Every other member runs the legacy
+    :class:`~repro.cpu.core.TimestampCore`.  The two are bit-identical
+    -- the differential suite pins that -- so the choice moves wall
+    time, never a result.
     """
+    from repro.cpu import native
     from repro.cpu.prepass import policy_supported, prepass_supported
 
     return ((tracer is None or not tracer.enabled)
-            and prepass_supported(config) and policy_supported(policy))
+            and prepass_supported(config) and policy_supported(policy)
+            and native.native_available())
 
 
 def iter_unit_results(unit, skip=(), tracer=None, profiler=None,

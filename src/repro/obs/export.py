@@ -103,8 +103,11 @@ def build_sweep_manifest(sweep, profiler=None):
     manifest records the resolved policy set, not just the request.
     Each run carries its :class:`~repro.exec.job.SimJob` ``job_id`` and
     the top level records the executor ``backend``, which is how two
-    manifests produced by different backends stay comparable.
+    manifests produced by different backends stay comparable, and
+    ``native_kernel``: whether the compiled replay kernel was available
+    (when False, kernel-eligible jobs ran on the legacy model).
     """
+    from repro.cpu.native import native_available
     from repro.policies.registry import policy_label
 
     job_ids = getattr(sweep, "job_ids", {})
@@ -158,6 +161,7 @@ def build_sweep_manifest(sweep, profiler=None):
         "warmup": sweep.warmup,
         "seed": sweep.seed,
         "backend": getattr(sweep, "backend", None),
+        "native_kernel": native_available(),
         "git": git_describe(),
         "config": config_to_dict(sweep.config),
         "phases": profiler.as_dict() if profiler is not None else {},
@@ -175,8 +179,11 @@ def build_figures_manifest(entries, backend=None, num_instructions=None,
     ``jobs`` (per-job outcome dicts, sorted by job_id) and ``failures``
     (the terminal-failure subset).  The top level records the shared
     executor ``backend``, so a serial and a parallel regeneration of
-    the same artifact set differ only in that field (and phases/git).
+    the same artifact set differ only in that field (and phases/git),
+    and ``native_kernel`` as in :func:`build_sweep_manifest`.
     """
+    from repro.cpu.native import native_available
+
     total_jobs = sum(len(entry.get("jobs", ())) for entry in entries)
     total_failures = sum(len(entry.get("failures", ()))
                          for entry in entries)
@@ -187,6 +194,7 @@ def build_figures_manifest(entries, backend=None, num_instructions=None,
         "num_instructions": num_instructions,
         "warmup": warmup,
         "backend": backend,
+        "native_kernel": native_available(),
         "git": git_describe(),
         "phases": profiler.as_dict() if profiler is not None else {},
         "total_jobs": total_jobs,

@@ -79,6 +79,23 @@ def _add_cell(report, benchmark, policy, status, attempts, error,
     report["cells"].append(cell)
 
 
+def _ingest_degradations(report, payload):
+    """Degradation lines of a sweep or figures manifest's top level."""
+    backend = payload.get("backend") or {}
+    if backend.get("pool_rebuilds"):
+        report["degradations"].append(
+            "worker pool rebuilt %d time(s) after worker loss"
+            % backend["pool_rebuilds"])
+    if backend.get("degraded"):
+        report["degradations"].append(
+            "backend degraded to serial execution mid-run")
+    # Absent in manifests that predate the field: only False warns.
+    line = "kernel-eligible jobs ran on the legacy model"
+    if (payload.get("native_kernel") is False
+            and line not in report["degradations"]):
+        report["degradations"].append(line)
+
+
 def _ingest_sweep(report, payload):
     for run in payload.get("runs", ()):
         status = run.get("status") or "ok"
@@ -90,14 +107,7 @@ def _ingest_sweep(report, payload):
         _count_status(report["jobs"], "failed", failure.get("attempts"))
         _add_cell(report, failure.get("job_id"), None, "failed",
                   failure.get("attempts"), failure.get("error"))
-    backend = payload.get("backend") or {}
-    if backend.get("pool_rebuilds"):
-        report["degradations"].append(
-            "worker pool rebuilt %d time(s) after worker loss"
-            % backend["pool_rebuilds"])
-    if backend.get("degraded"):
-        report["degradations"].append(
-            "backend degraded to serial execution mid-run")
+    _ingest_degradations(report, payload)
 
 
 def _ingest_figures(report, payload):
@@ -109,14 +119,7 @@ def _ingest_figures(report, payload):
             _add_cell(report, job.get("benchmark"), job.get("policy"),
                       status, attempts, job.get("error"),
                       figure=entry.get("name"))
-    backend = payload.get("backend") or {}
-    if backend.get("pool_rebuilds"):
-        report["degradations"].append(
-            "worker pool rebuilt %d time(s) after worker loss"
-            % backend["pool_rebuilds"])
-    if backend.get("degraded"):
-        report["degradations"].append(
-            "backend degraded to serial execution mid-run")
+    _ingest_degradations(report, payload)
 
 
 def _ingest_run(report, payload):

@@ -15,6 +15,7 @@ Three entry points, all reachable through ``repro perf``:
   shared-pass way (one structural prepass replayed per policy), and the
   end-to-end speedup is reported alongside a cycle-identity check.
 - :func:`check_goldens` re-runs the golden matrix *through both paths*
+  (the shared pass wherever the compiled kernel can serve a cell)
   and compares cycle counts and full stats digests against the pinned
   values -- the bit-identical timing-neutrality contract every hot-path
   change must keep.
@@ -29,10 +30,10 @@ import os
 import time
 
 from repro.config import SimConfig
-from repro.cpu.prepass import (build_prepass, policy_supported,
-                               prepass_supported)
+from repro.cpu.prepass import build_prepass
 from repro.cpu.shared_kernel import replay_policy
 from repro.exec.cache import cached_trace
+from repro.exec.executor import uses_kernel
 from repro.perf.golden import (
     GOLDEN_BENCHMARKS,
     GOLDEN_CYCLES,
@@ -136,11 +137,12 @@ def time_group_cell(benchmark, policies, num_instructions=BENCH_INSTRUCTIONS,
     after the trace cache warms: simulator construction plus the full
     replay, once per policy.  The grouped region is what a
     :class:`~repro.exec.job.MultiPolicySimJob` pays: one structural
-    prepass plus one shared-kernel replay per policy (policies the
-    shared pass cannot express fall back to the legacy build inside the
-    same region, exactly as ``iter_unit_results`` does).  Trace
-    generation and packing happen before either clock starts -- both
-    paths share the cached trace, so it cancels out of the comparison.
+    prepass plus one shared-kernel replay per policy (members
+    :func:`~repro.exec.executor.uses_kernel` assigns to the legacy
+    model run the legacy build inside the same region, exactly as
+    ``iter_unit_results`` does).  Trace generation and packing happen
+    before either clock starts -- both paths share the cached trace, so
+    it cancels out of the comparison.
 
     Both paths' cycle counts are cross-checked cell by cell; any
     disagreement is reported in ``cycle_mismatches`` (and would also
@@ -152,7 +154,8 @@ def time_group_cell(benchmark, policies, num_instructions=BENCH_INSTRUCTIONS,
     trace = cached_trace(benchmark, total, config.seed)
     trace.packed()
     policy_objs = {name: make_policy(name) for name in policies}
-    use_prepass = prepass_supported(config)
+    kernel = {name for name, policy in policy_objs.items()
+              if uses_kernel(config, policy)}
 
     legacy_cycles = {}
     best_legacy = None
@@ -170,11 +173,10 @@ def time_group_cell(benchmark, policies, num_instructions=BENCH_INSTRUCTIONS,
     for _ in range(max(1, repeats)):
         start = time.perf_counter()
         prepass = (build_prepass(trace, config, warmup=warmup)
-                   if use_prepass else None)
+                   if kernel else None)
         for name in policies:
-            policy = policy_objs[name]
-            if prepass is not None and policy_supported(policy):
-                result = replay_policy(prepass, policy, config)
+            if name in kernel:
+                result = replay_policy(prepass, policy_objs[name], config)
             else:
                 core, _hier = build_simulator(config, name)
                 result = core.run(trace, warmup=warmup)
@@ -396,12 +398,14 @@ def _verify_cell(key, path, cycles, digest):
 def check_goldens(config=None):
     """Re-run the pinned golden matrix; returns a list of mismatches.
 
-    Every cell is evaluated twice -- once through the legacy
-    ``build_simulator`` + ``core.run`` path and once through the
-    decode-once shared pass (:func:`~repro.cpu.prepass.build_prepass` +
+    Every cell is evaluated through the legacy ``build_simulator`` +
+    ``core.run`` path and, where
+    :func:`~repro.exec.executor.uses_kernel` allows, a second time
+    through the decode-once shared pass
+    (:func:`~repro.cpu.prepass.build_prepass` +
     :func:`~repro.cpu.shared_kernel.replay_policy`, the path a
-    :class:`~repro.exec.job.MultiPolicySimJob` takes) -- and both
-    outcomes must reproduce the pinned cycle count *and* full stats
+    :class:`~repro.exec.job.MultiPolicySimJob` takes) -- and every
+    outcome must reproduce the pinned cycle count *and* full stats
     digest bit-identically.  An empty list means clean; each mismatch
     is a human-readable string naming the cell, the path that drifted
     and what drifted.
@@ -409,11 +413,13 @@ def check_goldens(config=None):
     config = config or SimConfig()
     mismatches = []
     total = GOLDEN_INSTRUCTIONS + GOLDEN_WARMUP
-    use_prepass = prepass_supported(config)
+    policy_objs = {name: make_policy(name) for name in GOLDEN_POLICIES}
+    kernel = {name for name, policy in policy_objs.items()
+              if uses_kernel(config, policy)}
     for bench in GOLDEN_BENCHMARKS:
         trace = cached_trace(bench, total, config.seed)
         prepass = (build_prepass(trace, config, warmup=GOLDEN_WARMUP)
-                   if use_prepass else None)
+                   if kernel else None)
         for policy in GOLDEN_POLICIES:
             key = "%s/%s" % (bench, policy)
             core, hier = build_simulator(config, policy)
@@ -422,10 +428,9 @@ def check_goldens(config=None):
                 key, "legacy", result.cycles,
                 stats_digest(result.stats.as_dict(),
                              hier.miss_summary()))
-            policy_obj = make_policy(policy)
-            if prepass is None or not policy_supported(policy_obj):
+            if policy not in kernel:
                 continue
-            shared = replay_policy(prepass, policy_obj, config,
+            shared = replay_policy(prepass, policy_objs[policy], config,
                                    trace_name=getattr(trace, "name",
                                                       "trace"))
             mismatches += _verify_cell(

@@ -2,10 +2,12 @@
 
 Each policy is a *declarative* set of gating terms (:class:`GatingTerms`):
 which pipeline points verification blocks, how bus fetches are gated, and
-whether the address space is obfuscated.  The shared timestamp kernel
-(:mod:`repro.cpu.shared_kernel`) and the legacy per-policy core
-(:mod:`repro.cpu.core`) both consume the same terms, so a policy is one
-frozen record -- there is no per-policy timing code left to drift.
+whether the address space is obfuscated.  The two timing models -- the
+compiled replay kernel (:mod:`repro.cpu.native`, driven by
+:mod:`repro.cpu.shared_kernel`) and the legacy per-policy core
+(:mod:`repro.cpu.core`), which is the reference and the fallback --
+both consume the same terms, so a policy is one frozen record -- there
+is no per-policy timing code left to drift.
 """
 
 from dataclasses import dataclass

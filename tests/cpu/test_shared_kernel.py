@@ -1,12 +1,14 @@
 """Differential equivalence suite for the shared timestamp kernel.
 
 The merge gate of the decode-once/evaluate-many pipeline: every
-registered policy, replayed from one structural prepass, must be
-*bit-identical* -- cycles, every StatGroup counter, the miss summary --
-to the legacy per-policy simulator on the same trace.  The native (C)
-build of the kernel is additionally pinned bit-identical to the
-pure-Python loop whenever a compiler is available.
+registered policy, replayed from one structural prepass by the compiled
+kernel, must be *bit-identical* -- cycles, every StatGroup counter, the
+miss summary -- to the legacy per-policy simulator on the same trace.
+Without the kernel (no C compiler, or ``REPRO_NATIVE=0``) the replay
+tests skip and the legacy model serves every member instead.
 """
+
+import shutil
 
 import pytest
 
@@ -14,11 +16,18 @@ from repro.config import SimConfig
 from repro.cpu import native
 from repro.cpu.prepass import (build_prepass, policy_supported,
                                prepass_supported)
-from repro.cpu.shared_kernel import (_policy_constants, _replay_python,
-                                     replay_policy)
+from repro.cpu.shared_kernel import _policy_constants, replay_policy
+from repro.exec import MultiPolicySimJob, SerialExecutor, TraceCache
 from repro.exec.cache import cached_trace
+from repro.exec.chaos import result_digest
+from repro.exec.executor import uses_kernel
+from repro.obs import PhaseProfiler
 from repro.policies import available_policies, make_policy
 from repro.sim.runner import build_simulator
+
+needs_kernel = pytest.mark.skipif(
+    not native.native_available(),
+    reason="no C compiler / native kernel disabled")
 
 BENCHMARKS = ("mcf", "swim")
 NUM_INSTRUCTIONS = 1200
@@ -49,6 +58,7 @@ def _legacy(config, trace, policy_name):
 class TestSharedPassEquivalence:
     """Shared-pass replay == legacy simulator, for every policy."""
 
+    @needs_kernel
     @pytest.mark.parametrize("policy_name", available_policies())
     @pytest.mark.parametrize("bench", BENCHMARKS)
     def test_bit_identical_to_legacy(self, prepasses, config, bench,
@@ -76,6 +86,7 @@ class TestSharedPassEquivalence:
     def test_default_config_inside_envelope(self, config):
         assert prepass_supported(config)
 
+    @needs_kernel
     def test_prepass_reused_across_policies(self, prepasses, config):
         """One prepass serves every policy: replays do not mutate it."""
         trace, prepass = prepasses["mcf"]
@@ -89,24 +100,9 @@ class TestSharedPassEquivalence:
 
 
 class TestNativeKernel:
-    """Native (C) replay == pure-Python replay, payload for payload."""
+    """The compiled kernel: build, marshalling, and its off switch."""
 
-    @pytest.mark.skipif(not native.native_available(),
-                        reason="no C compiler / native kernel disabled")
-    @pytest.mark.parametrize("policy_name", available_policies())
-    def test_payload_identical_to_python(self, prepasses, config,
-                                         policy_name):
-        policy = make_policy(policy_name)
-        if not policy_supported(policy):
-            pytest.skip("policy outside the shared-pass envelope")
-        _trace, prepass = prepasses["mcf"]
-        constants = _policy_constants(policy, config)
-        payload = native.replay(prepass, constants)
-        assert payload is not None
-        assert payload == _replay_python(prepass, constants)
-
-    @pytest.mark.skipif(not native.native_available(),
-                        reason="no C compiler / native kernel disabled")
+    @needs_kernel
     def test_buffers_cached_on_prepass(self, prepasses, config):
         _trace, prepass = prepasses["swim"]
         constants = _policy_constants(make_policy("decrypt-only"), config)
@@ -115,19 +111,56 @@ class TestNativeKernel:
         native.replay(prepass, constants)
         assert prepass._native is first
 
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no cc")
+    def test_cc_with_flags_builds_kernel(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("CC", "cc -std=c99")
+        monkeypatch.setenv("REPRO_NATIVE", "require")
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+        native.reset()
+        try:
+            assert native.native_available()
+            assert list(tmp_path.glob("repro-kernel-*.so"))
+        finally:
+            native.reset()
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no cc")
+    def test_require_chains_compiler_error(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("CC", "cc -no-such-flag-xyz")
+        monkeypatch.setenv("REPRO_NATIVE", "require")
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+        native.reset()
+        try:
+            with pytest.raises(RuntimeError) as info:
+                native.native_available()
+            assert "no-such-flag-xyz" in str(info.value.__cause__)
+        finally:
+            native.reset()
+
     def test_env_kill_switch(self, prepasses, config, monkeypatch):
-        """REPRO_NATIVE=0 forces the pure-Python loop (and back)."""
+        """REPRO_NATIVE=0 means no kernel: every member runs legacy."""
         monkeypatch.setenv("REPRO_NATIVE", "0")
         native.reset()
         try:
             assert not native.native_available()
-            constants = _policy_constants(make_policy("decrypt-only"),
-                                          config)
-            assert native.replay(prepasses["mcf"][1], constants) is None
-            # replay_policy transparently falls back.
-            result = replay_policy(prepasses["mcf"][1],
-                                   make_policy("decrypt-only"), config)
-            assert result.cycles > 0
+            for name in available_policies():
+                assert not uses_kernel(config, make_policy(name))
+            with pytest.raises(RuntimeError, match="REPRO_NATIVE"):
+                replay_policy(prepasses["mcf"][1],
+                              make_policy("decrypt-only"), config)
+            group = MultiPolicySimJob(
+                "mcf", ("decrypt-only", "authen-then-commit"),
+                num_instructions=NUM_INSTRUCTIONS, warmup=WARMUP)
+            profiler = PhaseProfiler()
+            results = SerialExecutor(cache=TraceCache()).run(
+                [group], profiler=profiler)
+            trace = prepasses["mcf"][0]
+            assert len(results) == 2
+            for member, result in results.items():
+                expected = _legacy(config, trace, member.policy)
+                assert result_digest(result) == result_digest(expected)
+            phases = profiler.as_dict()
+            assert "measure" in phases
+            assert "prepass" not in phases and "replay" not in phases
         finally:
             monkeypatch.delenv("REPRO_NATIVE", raising=False)
             native.reset()

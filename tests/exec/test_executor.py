@@ -4,6 +4,7 @@ import pickle
 
 import pytest
 
+from repro.cpu import native
 from repro.exec import (
     SKIP_AND_REPORT,
     FailurePolicy,
@@ -87,12 +88,14 @@ class TestExecuteJob:
         assert execute_job(job).cycles == execute_job(job).cycles
 
     def test_profiler_phases(self):
-        # A job the kernel serves: trace, structural prepass, replay.
+        # A kernel-eligible job: trace, structural prepass, replay --
+        # or, with no compiled kernel, the legacy model.
         profiler = PhaseProfiler()
         execute_job(JOBS[0], profiler=profiler, cache=TraceCache())
-        assert set(profiler.as_dict()) == {"tracegen", "prepass", "replay",
-                                           "metrics"}
-        assert profiler.seconds("replay") > 0.0
+        model = (("prepass", "replay") if native.native_available()
+                 else ("warmup", "measure"))
+        assert set(profiler.as_dict()) == {"tracegen", *model, "metrics"}
+        assert profiler.seconds(model[-1]) > 0.0
         # A traced job runs the legacy model, split warmup/measure.
         profiler = PhaseProfiler()
         execute_job(JOBS[0], profiler=profiler, cache=TraceCache(),

@@ -12,7 +12,6 @@ backend, whichever timing model served it.
 import pytest
 
 from repro.config import SimConfig
-from repro.cpu.prepass import policy_supported, prepass_supported
 from repro.exec import (
     ArtifactStore,
     ParallelExecutor,
@@ -25,6 +24,7 @@ from repro.exec import (
     execute_job,
 )
 from repro.exec.chaos import result_digest
+from repro.exec.executor import uses_kernel
 from repro.exec.store import using_store
 from repro.exec.job import MultiPolicySimJob
 from repro.exec.retry import STATUS_OK, STATUS_RESUMED
@@ -214,10 +214,9 @@ class TestUnitOfOne:
         for result in runs:
             assert result_digest(result) == result_digest(expected)
             assert result.metrics.as_dict() == expected.metrics.as_dict()
-        # The kernel runs exactly when the prepass supports the config
-        # and the policy can be replayed; the legacy model otherwise.
-        kernel = (prepass_supported(job.config)
-                  and policy_supported(make_policy(policy)))
+        # The kernel runs exactly where the model rule says so; the
+        # legacy model otherwise.
+        kernel = uses_kernel(job.config, make_policy(policy))
         phases = profiler.as_dict()
         assert ("replay" in phases) == kernel
         assert ("measure" in phases) == (not kernel)

@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+from repro.cpu import native
 from repro.exec import RETRY_THEN_SKIP, FailurePolicy, set_attempt_hook
-from repro.obs.export import build_sweep_manifest, write_json
+from repro.obs.export import (build_figures_manifest, build_sweep_manifest,
+                              write_json)
 from repro.obs.metrics import MetricsRegistry, write_metrics
 from repro.obs.report import build_report, render_report, sniff_kind
 from repro.sim.sweep import PolicySweep
@@ -122,7 +124,9 @@ class TestBuildReport:
         assert "permanently broken cell" in text
         assert "slowest 3 job(s)" in text
         assert "wall time per job: n=3" in text
-        assert "degradations: none" in text
+        # Without the compiled kernel the report rightly warns.
+        assert ("degradations: none" if native.native_available()
+                else TestNativeKernelRecord.LINE) in text
         assert "metrics snapshot:" in text
 
     def test_accounting_survives_journal_resume(self, tmp_path):
@@ -163,6 +167,43 @@ class TestBuildReport:
         text = render_report(report)
         assert "wall time per job: n=0 mean=-- p50=-- p95=-- max=--" \
             in text
+
+
+def kind_manifest(kind, tmp_path):
+    """A small sweep or (empty) figures manifest, written to disk."""
+    if kind == "figures":
+        payload = build_figures_manifest([])
+    else:
+        sweep = PolicySweep(["gzip"], ["decrypt-only"],
+                            num_instructions=600, warmup=300)
+        sweep.run()
+        payload = build_sweep_manifest(sweep)
+    path = tmp_path / ("%s.json" % kind)
+    write_json(payload, path)
+    return payload, path
+
+
+class TestNativeKernelRecord:
+    LINE = "kernel-eligible jobs ran on the legacy model"
+
+    @pytest.mark.parametrize("kind", ["sweep", "figures"])
+    def test_manifest_records_kernel_and_report_warns(
+            self, kind, tmp_path, monkeypatch):
+        payload, path = kind_manifest(kind, tmp_path)
+        assert payload["native_kernel"] == native.native_available()
+        assert (self.LINE in build_report([path])["degradations"]) == \
+            (not native.native_available())
+        monkeypatch.setenv("REPRO_NATIVE", "0")
+        native.reset()
+        try:
+            payload, path = kind_manifest(kind, tmp_path)
+        finally:
+            monkeypatch.delenv("REPRO_NATIVE", raising=False)
+            native.reset()
+        assert payload["native_kernel"] is False
+        report = build_report([path])
+        assert report["degradations"] == [self.LINE]
+        assert self.LINE in render_report(report)
 
 
 class TestReportCli:

@@ -70,6 +70,18 @@ def wait_warm(service, name, timeout=120.0):
     raise AssertionError("figure %s never warmed" % name)
 
 
+def wait_idle(service, timeout=120.0):
+    """Poll ``health()`` until the regeneration queue has drained.
+
+    A finished artifact (or store result) is visible before the worker
+    books the regeneration, so counters are read only once idle.
+    """
+    deadline = time.monotonic() + timeout
+    while service.health()[1]["queue_depth"]:
+        assert time.monotonic() < deadline, "queue never drained"
+        time.sleep(0.02)
+
+
 class TestFigureEndpoint:
     def test_unknown_figure_is_404(self, tmp_path):
         service = make_service(tmp_path)
@@ -124,6 +136,7 @@ class TestFigureEndpoint:
             # regeneration was quick) the finished artifact
             assert all(status in (200, 202) for status in statuses)
             body = wait_warm(service, "fig8")
+            wait_idle(service)
             # K concurrent clients coalesced into ONE regeneration
             assert service.regenerations == 1
             # ... and the served bytes are identical to what
@@ -216,6 +229,7 @@ class TestSweep:
             assert cell["cycles"] > 0
             assert cell["ipc"] > 0
             assert body["misses"] == 0
+            wait_idle(service)
             assert service.regenerations == 1
         finally:
             service.close()
