@@ -12,14 +12,15 @@ it at first use, and drives it through :mod:`ctypes`.
 
 Everything is integer arithmetic, so the replay is *bit-identical* to
 the legacy simulator: the differential suite in ``tests/cpu/`` pins
-native == legacy, and ``repro perf --check`` gates the pinned goldens.
+native == legacy, and ``repro perf --check`` re-verifies the pinned
+goldens through both.
 The kernel is optional for the program but not for a replay: with no
 C compiler, a failed compile, or ``REPRO_NATIVE=0`` in the environment,
 :func:`native_available` is False, :func:`replay` raises, and the
-executor's model rule (:func:`repro.exec.executor.uses_kernel`) runs
+executor's model rule (:func:`repro.exec.executor.kernel_fallback`) runs
 every member on the legacy simulator instead, with identical results.
 ``REPRO_NATIVE=require`` turns an unavailable kernel into an error,
-for CI jobs that must measure the native path.
+for CI jobs that must exercise the native path.
 
 The compiler is ``$CC`` (default ``cc``), split like a shell word list
 so ``CC="ccache cc"`` works.  The compiled object is cached as

@@ -19,14 +19,15 @@ columns (the same structure-of-arrays discipline as
 equivalence suite (``tests/cpu/test_shared_kernel.py``) and the perf
 goldens pin the mirror bit-identically against the legacy path.
 
-Supported configurations are gated by :func:`prepass_supported` and
-replayable policies by :func:`policy_supported`.  The executor's one
-model rule (:func:`~repro.exec.executor.uses_kernel`) combines the two
-with "the compiled replay kernel is available" and "no enabled tracer
-wants per-run events"; every other member runs the legacy per-policy
-simulator (CBC mode, hash trees, address obfuscation, prefetching,
-obfuscating policies, traced runs, hosts without a C compiler), and no
-prepass is built for a unit none of whose members uses the kernel.
+Which configurations the walk supports and which policies can be
+replayed over it is decided, together with "the compiled replay kernel
+is available" and "no enabled tracer wants per-run events", by the
+executor's one model rule
+(:func:`~repro.exec.executor.kernel_fallback`); every other member runs
+the legacy per-policy simulator (CBC mode, hash trees, address
+obfuscation, prefetching, obfuscating policies, traced runs, hosts
+without a C compiler), and no prepass is built for a unit none of whose
+members uses the kernel.
 """
 
 from repro.secure.metadata import MetadataLayout
@@ -44,29 +45,6 @@ ROW_CONFLICT = 2
 LVL_L1_HIT = 0
 LVL_L2_HIT = 1
 LVL_MISS = 2
-
-
-def prepass_supported(config):
-    """Can this configuration be evaluated through the shared kernel?
-
-    The structural walk mirrors the counter-mode fast path only; the
-    exotic configurations keep their legacy per-policy path (they are
-    exercised by dedicated experiments, not the broad sweeps).
-    """
-    secure = config.secure
-    return (secure.encryption_mode == "ctr"
-            and not secure.obfuscation_enabled
-            and not secure.hash_tree_enabled
-            and config.prefetch_degree == 0)
-
-
-def policy_supported(policy):
-    """Can ``policy`` be replayed over a shared prepass?
-
-    Obfuscating policies restructure the engine (re-map table accesses
-    interleave with data fetches), so they keep the legacy path.
-    """
-    return not policy.obfuscation
 
 
 class TracePrepass:
@@ -114,9 +92,9 @@ def build_prepass(trace, config, warmup=0,
                   protected_bytes=256 * 1024 * 1024):
     """Run the structural walk; returns a :class:`TracePrepass`.
 
-    Must only be called for configurations passing
-    :func:`prepass_supported`; the walk assumes the counter-mode fast
-    path's structure.
+    Must only be called for configurations
+    :func:`~repro.exec.executor.kernel_fallback` admits; the walk
+    assumes the counter-mode fast path's structure.
     """
     packed = trace.packed()
     num_insts = len(packed)

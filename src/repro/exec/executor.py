@@ -4,13 +4,14 @@ Every unit of work -- a :class:`~repro.exec.job.SimJob` (a unit of one)
 or a :class:`~repro.exec.job.MultiPolicySimJob` -- runs through
 :func:`iter_unit_results`: one cached trace, one structural prepass
 (:mod:`repro.cpu.prepass`) when any member can use it, then one
-evaluation per member.  :func:`uses_kernel` is the one rule that picks
-each member's timing model: the compiled replay kernel when it is
-available, the prepass supports the config, the policy can be replayed
-and no enabled tracer asks for per-run events; the legacy
-:class:`~repro.cpu.core.TimestampCore` otherwise.  Both models are
-bit-identical.  The pipeline is a pure function of the unit (all
-simulator state is private to the call), which is what makes the
+evaluation per member.  :func:`kernel_fallback` is the one rule that
+picks each member's timing model: the compiled replay kernel when it
+is available, the prepass supports the config, the policy can be
+replayed and no enabled tracer asks for per-run events; the legacy
+:class:`~repro.cpu.core.TimestampCore` otherwise, with the first
+failing term recorded as the result's ``accounting["model"]``.  Both
+models are bit-identical.  The pipeline is a pure function of the unit
+(all simulator state is private to the call), which is what makes the
 backends interchangeable:
 :class:`SerialExecutor` runs units in order in-process,
 :class:`ParallelExecutor` fans them out over a ``ProcessPoolExecutor``
@@ -120,6 +121,7 @@ def _store_hit_accounting(started):
         "cache_hit": None,
         "store_hit": True,
         "peak_rss_kb": _peak_rss_kb(),
+        "model": "store",
     }
 
 
@@ -151,25 +153,53 @@ def execute_job(job, tracer=None, profiler=None, cache=None, store=None):
     return result
 
 
-def uses_kernel(config, policy, tracer=None):
-    """Whether a member runs on the shared replay kernel.
+def kernel_fallback(config, policy, tracer=None):
+    """Why a member runs on the legacy model; None when the kernel does.
 
-    The one place the timing model is chosen.  The kernel serves a
-    member when the compiled kernel is available
-    (:func:`repro.cpu.native.native_available`), the structural prepass
-    supports ``config``, ``policy`` can be replayed over it, and no
-    enabled ``tracer`` asks for per-run events (only the legacy model
-    emits them).  Every other member runs the legacy
+    The one place the timing model is chosen, and the reason recorded
+    as each fresh result's ``accounting["model"]``.  The shared replay
+    kernel serves a member unless one of these terms holds; the first
+    that does is returned:
+
+    - ``traced``: an enabled ``tracer`` asks for per-run events, which
+      only the legacy model emits;
+    - ``hash_tree``, ``obfuscation``, ``encryption_mode`` (not counter
+      mode), ``prefetch``: the structural prepass does not walk this
+      configuration;
+    - ``obfuscating_policy``: the policy restructures the engine
+      (re-map table accesses interleave with data fetches);
+    - ``no_kernel``: the compiled kernel is unavailable
+      (:func:`repro.cpu.native.native_available`).  Checked last, so
+      it names exactly the kernel-eligible members a host without a
+      compiler (or ``REPRO_NATIVE=0``) sent to the legacy model.
+
+    Every other member runs the legacy
     :class:`~repro.cpu.core.TimestampCore`.  The two are bit-identical
     -- the differential suite pins that -- so the choice moves wall
     time, never a result.
     """
     from repro.cpu import native
-    from repro.cpu.prepass import policy_supported, prepass_supported
 
-    return ((tracer is None or not tracer.enabled)
-            and prepass_supported(config) and policy_supported(policy)
-            and native.native_available())
+    if tracer is not None and tracer.enabled:
+        return "traced"
+    secure = config.secure
+    for reason, fails in (
+            ("hash_tree", secure.hash_tree_enabled),
+            ("obfuscation", secure.obfuscation_enabled),
+            ("encryption_mode", secure.encryption_mode != "ctr"),
+            ("prefetch", config.prefetch_degree != 0),
+            ("obfuscating_policy", policy.obfuscation)):
+        if fails:
+            return reason
+    if not native.native_available():
+        return "no_kernel"
+    return None
+
+
+def uses_kernel(config, policy, tracer=None):
+    """Whether a member runs on the shared replay kernel: no
+    :func:`kernel_fallback` term holds."""
+    return kernel_fallback(config, policy, tracer) is None
 
 
 def iter_unit_results(unit, skip=(), tracer=None, profiler=None,
@@ -227,8 +257,9 @@ def iter_unit_results(unit, skip=(), tracer=None, profiler=None,
     tracegen = active_cache.gen_seconds - gen_before
     active_cache.count_group_reuse(len(members) - 1)
     policies = {m.policy: make_policy(m.policy) for m in members}
-    kernel = {name for name, policy in policies.items()
-              if uses_kernel(unit.config, policy, tracer)}
+    fallback = {name: kernel_fallback(unit.config, policy, tracer)
+                for name, policy in policies.items()}
+    kernel = {name for name, reason in fallback.items() if reason is None}
     prepass = (_shared_prepass(unit, trace, active_store(),
                                profiler=profiler) if kernel else None)
     shared_seconds = time.perf_counter() - started
@@ -264,6 +295,7 @@ def iter_unit_results(unit, skip=(), tracer=None, profiler=None,
             "cache_hit": first_cache_hit if position == 0 else True,
             "store_hit": False,
             "peak_rss_kb": _peak_rss_kb(),
+            "model": fallback[member.policy] or "kernel",
         }
         yield member, result
 

@@ -29,26 +29,31 @@ class _OutcomeRecorder:
     """Executor proxy that audits one figure's jobs.
 
     Delegates ``run()`` to the shared inner executor, injects the
-    figure-level failure policy whenever the callee did not supply one,
-    and accumulates every job's outcome across the (possibly many)
-    sweeps a single figure runs.  This keeps per-figure bookkeeping out
+    figure-level failure policy, metrics registry and phase profiler
+    whenever the callee did not supply them, and accumulates every
+    job's outcome and timing model across the (possibly many) sweeps a
+    single figure runs.  This keeps per-figure bookkeeping out
     of the experiment modules: they just thread ``executor=`` through.
     """
 
-    def __init__(self, inner, failure_policy=None, metrics=None):
+    def __init__(self, inner, failure_policy=None, metrics=None,
+                 profiler=None):
         self._inner = inner
-        self._failure_policy = failure_policy
-        self._metrics = metrics
+        self._injected = {"failure_policy": failure_policy,
+                          "metrics": metrics, "profiler": profiler}
         self.outcomes = {}   # job_id -> JobResult
         self.job_keys = {}   # job_id -> (benchmark, policy)
+        self.models = {}     # job_id -> accounting["model"]
 
     def run(self, jobs, **kwargs):
         jobs = list(jobs)
-        if kwargs.get("failure_policy") is None:
-            kwargs["failure_policy"] = self._failure_policy
-        if kwargs.get("metrics") is None:
-            kwargs["metrics"] = self._metrics
+        for name, value in self._injected.items():
+            if kwargs.get(name) is None:
+                kwargs[name] = value
         results = self._inner.run(jobs, **kwargs)
+        for member, result in results.items():
+            accounting = getattr(result, "accounting", None) or {}
+            self.models[member.job_id] = accounting.get("model")
         for job in jobs:
             # A unit settles as its member jobs (one outcome per member
             # job_id), so audit the members, not the unit.
@@ -100,6 +105,16 @@ class _OutcomeRecorder:
             outcome["policy"] = policy
             jobs.append(outcome)
         return jobs
+
+    def model_counts(self):
+        """``{model: jobs}`` over every settled job; a job that left no
+        model (terminally failed, or settled by a backend that does
+        not carry accounting) counts as ``unrecorded``."""
+        counts = {}
+        for job_id in self.outcomes:
+            model = self.models.get(job_id) or "unrecorded"
+            counts[model] = counts.get(model, 0) + 1
+        return dict(sorted(counts.items()))
 
     def rollup(self):
         """Per-figure outcome rollup (backend-identical by construction:
@@ -271,6 +286,7 @@ def run_figures(names, out_dir, num_instructions=12_000, warmup=12_000,
 
     from repro.obs.export import (build_figures_manifest, write_json,
                                   write_json_atomic)
+    from repro.obs.profile import PhaseProfiler
 
     unknown = [name for name in names if name not in ARTIFACTS]
     if unknown:
@@ -279,13 +295,15 @@ def run_figures(names, out_dir, num_instructions=12_000, warmup=12_000,
     os.makedirs(out_dir, exist_ok=True)
     entries = []
     artifact_paths = {}
+    profiler = PhaseProfiler()
     with executor_scope(executor, jobs=jobs) as inner:
         for name in ARTIFACTS:   # registry order, not request order
             if name not in names:
                 continue
             recorder = _OutcomeRecorder(inner,
                                         failure_policy=failure_policy,
-                                        metrics=metrics)
+                                        metrics=metrics,
+                                        profiler=profiler)
             ctx = {
                 "num_instructions": num_instructions,
                 "warmup": warmup,
@@ -315,6 +333,7 @@ def run_figures(names, out_dir, num_instructions=12_000, warmup=12_000,
                 "series_artifact": series_artifact,
                 "jobs": manifest_jobs,
                 "rollup": recorder.rollup(),
+                "models": recorder.model_counts(),
                 "failures": [job for job in manifest_jobs
                              if job["status"] == STATUS_FAILED],
             })
@@ -331,7 +350,7 @@ def run_figures(names, out_dir, num_instructions=12_000, warmup=12_000,
         backend = inner.describe()
     manifest = build_figures_manifest(entries, backend=backend,
                                       num_instructions=num_instructions,
-                                      warmup=warmup)
+                                      warmup=warmup, profiler=profiler)
     manifest_path = os.path.join(out_dir, "figures-manifest.json")
     write_json(manifest, manifest_path)
     return {

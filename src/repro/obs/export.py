@@ -180,11 +180,18 @@ def build_figures_manifest(entries, backend=None, num_instructions=None,
     (the terminal-failure subset).  The top level records the shared
     executor ``backend``, so a serial and a parallel regeneration of
     the same artifact set differ only in that field (and phases/git),
-    and ``native_kernel`` as in :func:`build_sweep_manifest`.
+    ``native_kernel`` as in :func:`build_sweep_manifest`, and
+    ``models``: each entry's ``models`` counts (which timing model
+    served each job, or why it left the kernel) summed, so they add up
+    to ``total_jobs``.
     """
     from repro.cpu.native import native_available
 
     total_jobs = sum(len(entry.get("jobs", ())) for entry in entries)
+    models = {}
+    for entry in entries:
+        for model, count in entry.get("models", {}).items():
+            models[model] = models.get(model, 0) + count
     total_failures = sum(len(entry.get("failures", ()))
                          for entry in entries)
     return {
@@ -195,6 +202,7 @@ def build_figures_manifest(entries, backend=None, num_instructions=None,
         "warmup": warmup,
         "backend": backend,
         "native_kernel": native_available(),
+        "models": dict(sorted(models.items())),
         "git": git_describe(),
         "phases": profiler.as_dict() if profiler is not None else {},
         "total_jobs": total_jobs,

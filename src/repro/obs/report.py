@@ -11,7 +11,10 @@ artifacts a run leaves behind -- no re-simulation.  Feed it any mix of:
 
 Sweep manifests carry each run's resource accounting
 (``runs[].accounting``: wall/tracegen seconds, cache and store hits,
-peak RSS), which powers the slowest-jobs table and the distributions.
+peak RSS, timing model), which powers the slowest-jobs table and the
+distributions.  Sweep and figures manifests both contribute their
+profiler ``phases`` (where the time went) and the count of jobs per
+timing model (the kernel, the store, or why a job left the kernel).
 
 The report has two forms: :func:`render_report` (text, table style
 shared with the sweep tables) and the raw :func:`build_report` dict
@@ -54,6 +57,8 @@ def _new_report():
         "cache": None,      # {"hits", "misses", "hit_rate", ...}
         "store": None,      # artifact-store traffic (hits, bytes, ...)
         "hosts": None,      # dist backend host health (per-host merges)
+        "phases": None,     # {phase: seconds} over sweep/figures manifests
+        "models": None,     # {timing model or fallback reason: jobs}
         "degradations": [],
         "metrics_families": None,
     }
@@ -96,8 +101,23 @@ def _ingest_degradations(report, payload):
         report["degradations"].append(line)
 
 
+def _ingest_profile(report, payload, models):
+    """Fold one manifest's phase seconds and model counts in."""
+    for key, counts in (("phases", payload.get("phases")),
+                        ("models", models)):
+        if counts:
+            merged = report[key] or {}
+            for name, value in counts.items():
+                merged[name] = round(merged.get(name, 0) + value, 6)
+            report[key] = merged
+
+
 def _ingest_sweep(report, payload):
+    models = {}
     for run in payload.get("runs", ()):
+        model = (run.get("accounting") or {}).get("model")
+        if model is not None:
+            models[model] = models.get(model, 0) + 1
         status = run.get("status") or "ok"
         attempts = run.get("attempts")
         _count_status(report["jobs"], status, attempts)
@@ -107,6 +127,7 @@ def _ingest_sweep(report, payload):
         _count_status(report["jobs"], "failed", failure.get("attempts"))
         _add_cell(report, failure.get("job_id"), None, "failed",
                   failure.get("attempts"), failure.get("error"))
+    _ingest_profile(report, payload, models)
     _ingest_degradations(report, payload)
 
 
@@ -119,6 +140,7 @@ def _ingest_figures(report, payload):
             _add_cell(report, job.get("benchmark"), job.get("policy"),
                       status, attempts, job.get("error"),
                       figure=entry.get("name"))
+    _ingest_profile(report, payload, payload.get("models"))
     _ingest_degradations(report, payload)
 
 
@@ -528,6 +550,20 @@ def render_report(report, top=10):
                          % (store["bytes_written"] // 1024))
         if parts:
             lines.append("artifact store: " + ", ".join(parts))
+
+    phases = report.get("phases")
+    if phases:
+        total = sum(phases.values()) or 1.0
+        rows = [[name, seconds, seconds / total]
+                for name, seconds in phases.items()]
+        lines.append("")
+        lines.append("phases (manifest profiler):")
+        lines.extend("  " + line for line in render_table(
+            ["phase", "seconds", "share"], rows).splitlines())
+    models = report.get("models")
+    if models:
+        lines.append("timing model: " + ", ".join(
+            "%s %d" % item for item in sorted(models.items())))
 
     hosts = report.get("hosts")
     if hosts is not None:

@@ -1,23 +1,10 @@
-"""Performance benchmarking and timing-parity verification.
+"""Timing-parity verification: ``repro perf --check``.
 
-``repro perf`` measures the simulator's replay throughput
-(instructions/sec) over a pinned (benchmark x policy) matrix and writes a
-``BENCH_<stamp>.json`` report; ``repro perf --check`` re-verifies that
-the optimised hot path still reproduces the pinned golden cycle counts
-and stats digests bit-identically.
+Re-verifies that the optimised hot path still reproduces the pinned
+golden cycle counts and stats digests bit-identically.  Wall-clock
+measurement lives in the repository benchmark (``perfbench/``).
 """
 
-from repro.perf.bench import (
-    BENCH_BENCHMARKS,
-    BENCH_INSTRUCTIONS,
-    BENCH_POLICIES,
-    BENCH_WARMUP,
-    check_goldens,
-    render_table,
-    run_matrix,
-    time_cell,
-    write_report,
-)
 from repro.perf.golden import (
     GOLDEN_BENCHMARKS,
     GOLDEN_CYCLES,
@@ -25,28 +12,19 @@ from repro.perf.golden import (
     GOLDEN_INSTRUCTIONS,
     GOLDEN_POLICIES,
     GOLDEN_WARMUP,
-    PRE_PR_BASELINE,
+    check_goldens,
     golden_cells,
     stats_digest,
 )
 
 __all__ = [
-    "BENCH_BENCHMARKS",
-    "BENCH_INSTRUCTIONS",
-    "BENCH_POLICIES",
-    "BENCH_WARMUP",
     "GOLDEN_BENCHMARKS",
     "GOLDEN_CYCLES",
     "GOLDEN_DIGESTS",
     "GOLDEN_INSTRUCTIONS",
     "GOLDEN_POLICIES",
     "GOLDEN_WARMUP",
-    "PRE_PR_BASELINE",
     "check_goldens",
     "golden_cells",
-    "render_table",
-    "run_matrix",
     "stats_digest",
-    "time_cell",
-    "write_report",
 ]

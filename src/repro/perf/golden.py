@@ -1,4 +1,4 @@
-"""Pinned golden timing results for the perf-parity suite.
+"""Pinned golden timing results and the parity gate that checks them.
 
 Every performance optimisation of the simulator's hot path must be
 *timing-neutral*: cycle counts, IPC and every StatGroup counter must come
@@ -14,15 +14,22 @@ The digests are computed over a JSON round-trip of the payload (bucket
 keys normalised to strings, canonical key order), so they are stable
 across the process boundary and the artifact store's result tier.
 
-``PRE_PR_BASELINE`` records the replay throughput of the simulator
-*before* the packed-trace/O(1)-LRU/flattened-hierarchy optimisation
-round, measured with the same methodology ``repro perf`` uses (see
-:mod:`repro.perf.bench`): the timed region is ``TimestampCore.run`` only,
-with trace generation and simulator construction excluded.
+:func:`check_goldens` (``repro perf --check``) re-runs the matrix
+through every timing model and compares against both tables.  It
+verifies, it does not time: wall-clock numbers come from the
+repository benchmark under ``perfbench/``.
 """
 
 import hashlib
 import json
+
+from repro.config import SimConfig
+from repro.cpu.prepass import build_prepass
+from repro.cpu.shared_kernel import replay_policy
+from repro.exec.cache import cached_trace
+from repro.exec.executor import uses_kernel
+from repro.policies import make_policy
+from repro.sim.runner import build_simulator
 
 GOLDEN_BENCHMARKS = ("mcf", "swim", "twolf")
 GOLDEN_POLICIES = ("decrypt-only", "authen-then-issue",
@@ -72,19 +79,6 @@ GOLDEN_DIGESTS = {
         "fd2b8f407cf0cc327ce2cee6ad33730b4211cdb027f125dd07c6bb2f21d40c49",
 }
 
-#: Replay throughput before the optimisation round this suite guards
-#: (object-per-instruction trace iteration, O(assoc) LRU scans, five-deep
-#: per-access call chains).  Aggregate over the default ``repro perf``
-#: matrix (3 benchmarks x 4 policies, 20000 instructions + 5000 warmup),
-#: mean of interleaved pre/post runs on the reference container.
-PRE_PR_BASELINE = {
-    "instructions_per_second": 178171,
-    "matrix": "3 benchmarks x 4 policies, n=20000 warmup=5000",
-    "timed_region": "TimestampCore.run (trace generation and simulator "
-                    "construction excluded)",
-}
-
-
 def golden_cells():
     """The pinned ``(benchmark, policy)`` matrix, in digest order."""
     for bench in GOLDEN_BENCHMARKS:
@@ -102,3 +96,60 @@ def stats_digest(stats_dict, miss_summary):
         {"stats": stats_dict, "miss_summary": miss_summary}))
     return hashlib.sha256(
         json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+def _verify_cell(key, path, cycles, digest):
+    """Compare one (cell, path) outcome against the pinned goldens."""
+    if cycles != GOLDEN_CYCLES[key]:
+        return ["%s [%s]: cycles %d != golden %d"
+                % (key, path, cycles, GOLDEN_CYCLES[key])]
+    if digest != GOLDEN_DIGESTS[key]:
+        return ["%s [%s]: cycles match but stats digest drifted "
+                "(%s != %s)"
+                % (key, path, digest[:16], GOLDEN_DIGESTS[key][:16])]
+    return []
+
+
+def check_goldens(config=None):
+    """Re-run the pinned golden matrix; returns a list of mismatches.
+
+    Every cell is evaluated through the legacy ``build_simulator`` +
+    ``core.run`` path and, where
+    :func:`~repro.exec.executor.uses_kernel` allows, a second time
+    through the decode-once shared pass
+    (:func:`~repro.cpu.prepass.build_prepass` +
+    :func:`~repro.cpu.shared_kernel.replay_policy`, the path a
+    :class:`~repro.exec.job.MultiPolicySimJob` takes) -- and every
+    outcome must reproduce the pinned cycle count *and* full stats
+    digest bit-identically.  An empty list means clean; each mismatch
+    is a human-readable string naming the cell, the path that drifted
+    and what drifted.
+    """
+    config = config or SimConfig()
+    mismatches = []
+    total = GOLDEN_INSTRUCTIONS + GOLDEN_WARMUP
+    policy_objs = {name: make_policy(name) for name in GOLDEN_POLICIES}
+    kernel = {name for name, policy in policy_objs.items()
+              if uses_kernel(config, policy)}
+    for bench in GOLDEN_BENCHMARKS:
+        trace = cached_trace(bench, total, config.seed)
+        prepass = (build_prepass(trace, config, warmup=GOLDEN_WARMUP)
+                   if kernel else None)
+        for policy in GOLDEN_POLICIES:
+            key = "%s/%s" % (bench, policy)
+            core, hier = build_simulator(config, policy)
+            result = core.run(trace, warmup=GOLDEN_WARMUP)
+            mismatches += _verify_cell(
+                key, "legacy", result.cycles,
+                stats_digest(result.stats.as_dict(),
+                             hier.miss_summary()))
+            if policy not in kernel:
+                continue
+            shared = replay_policy(prepass, policy_objs[policy], config,
+                                   trace_name=getattr(trace, "name",
+                                                      "trace"))
+            mismatches += _verify_cell(
+                key, "shared", shared.cycles,
+                stats_digest(shared.stats.as_dict(),
+                             shared.miss_summary))
+    return mismatches

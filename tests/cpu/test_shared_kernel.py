@@ -14,13 +14,12 @@ import pytest
 
 from repro.config import SimConfig
 from repro.cpu import native
-from repro.cpu.prepass import (build_prepass, policy_supported,
-                               prepass_supported)
+from repro.cpu.prepass import build_prepass
 from repro.cpu.shared_kernel import _policy_constants, replay_policy
 from repro.exec import MultiPolicySimJob, SerialExecutor, TraceCache
 from repro.exec.cache import cached_trace
 from repro.exec.chaos import result_digest
-from repro.exec.executor import uses_kernel
+from repro.exec.executor import kernel_fallback, uses_kernel
 from repro.obs import PhaseProfiler
 from repro.policies import available_policies, make_policy
 from repro.sim.runner import build_simulator
@@ -66,7 +65,7 @@ class TestSharedPassEquivalence:
         policy = make_policy(policy_name)
         trace, prepass = prepasses[bench]
         legacy = _legacy(config, trace, policy_name)
-        if not policy_supported(policy):
+        if kernel_fallback(config, policy) is not None:
             # Outside the shared-pass envelope (address obfuscation);
             # the grouped pipeline falls back to the legacy simulator
             # for these members, so there is nothing to diff here.
@@ -78,13 +77,17 @@ class TestSharedPassEquivalence:
         assert shared.stats.as_dict() == legacy.stats.as_dict()
         assert shared.miss_summary == legacy.miss_summary
 
-    def test_envelope_covers_all_but_obfuscation(self):
+    def test_envelope_covers_all_but_obfuscation(self, config):
         outside = [name for name in available_policies()
-                   if not policy_supported(make_policy(name))]
+                   if kernel_fallback(config, make_policy(name))
+                   == "obfuscating_policy"]
         assert outside == ["commit+obfuscation"]
 
     def test_default_config_inside_envelope(self, config):
-        assert prepass_supported(config)
+        # Only the host (no compiler, REPRO_NATIVE=0) may keep the
+        # default configuration off the kernel.
+        assert kernel_fallback(config, make_policy("decrypt-only")) in (
+            None, "no_kernel")
 
     @needs_kernel
     def test_prepass_reused_across_policies(self, prepasses, config):

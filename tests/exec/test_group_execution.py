@@ -12,6 +12,7 @@ backend, whichever timing model served it.
 import pytest
 
 from repro.config import SimConfig
+from repro.cpu import native
 from repro.exec import (
     ArtifactStore,
     ParallelExecutor,
@@ -28,7 +29,7 @@ from repro.exec.executor import uses_kernel
 from repro.exec.store import using_store
 from repro.exec.job import MultiPolicySimJob
 from repro.exec.retry import STATUS_OK, STATUS_RESUMED
-from repro.obs import PhaseProfiler
+from repro.obs import MemorySink, PhaseProfiler, Tracer
 from repro.policies import make_policy
 from repro.sim.metrics import collect_metrics
 from repro.sim.runner import build_simulator
@@ -220,3 +221,34 @@ class TestUnitOfOne:
         phases = profiler.as_dict()
         assert ("replay" in phases) == kernel
         assert ("measure" in phases) == (not kernel)
+
+    @pytest.mark.parametrize("config_name,policy,native_off,traced,model", [
+        ("base", "authen-then-commit", False, False, None),
+        ("hash-tree", "authen-then-commit", False, False, "hash_tree"),
+        ("base", "commit+obfuscation", False, False,
+         "obfuscating_policy"),
+        ("base", "authen-then-commit", True, False, "no_kernel"),
+        ("base", "authen-then-commit", False, True, "traced"),
+    ], ids=["kernel", "hash-tree", "commit+obfuscation", "REPRO_NATIVE=0",
+            "traced"])
+    def test_accounting_names_the_model(self, monkeypatch, config_name,
+                                        policy, native_off, traced,
+                                        model):
+        """Each fresh result records the model that ran it, or why it
+        left the kernel -- and the choice never moves a digest."""
+        if model is None:
+            model = "kernel" if native.native_available() else "no_kernel"
+        job = SimJob("gzip", policy, config=CONFIGS[config_name],
+                     num_instructions=N, warmup=W)
+        if native_off:
+            monkeypatch.setenv("REPRO_NATIVE", "0")
+        native.reset()
+        try:
+            result = execute_job(
+                job, tracer=Tracer([MemorySink()]) if traced else None,
+                cache=TraceCache())
+        finally:
+            monkeypatch.undo()
+            native.reset()
+        assert result.accounting["model"] == model
+        assert result_digest(result) == result_digest(oracle(job))

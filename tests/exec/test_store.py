@@ -191,6 +191,7 @@ class TestResultShortCircuit:
         assert cold.accounting["store_hit"] is False
         warm = execute_job(job, cache=TraceCache())
         assert warm.accounting["store_hit"] is True
+        assert warm.accounting["model"] == "store"
         assert warm.accounting["tracegen_seconds"] == 0.0
         assert warm.accounting["cache_hit"] is None
         assert result_digest(warm) == result_digest(cold)

@@ -82,6 +82,29 @@ class TestRunFigures:
         assert all("wall_time" not in job for job in entry["jobs"])
         assert all(job["status"] == "ok" for job in entry["jobs"])
 
+    def test_manifest_records_phases_and_models(self, tmp_path):
+        from repro.cpu import native
+        from repro.exec import SerialExecutor, TraceCache
+        from repro.obs.report import build_report, render_report
+
+        # A private trace cache: the run must generate, not reuse.
+        summary = run_figures(["fig8"], str(tmp_path),
+                              executor=SerialExecutor(cache=TraceCache()),
+                              benchmarks=("gzip",), **SCALE)
+        manifest = json.loads(
+            (tmp_path / "figures-manifest.json").read_text())
+        phases = manifest["phases"]
+        assert phases["tracegen"] > 0
+        assert phases["metrics"] > 0
+        assert ("replay" in phases) == native.native_available()
+        models = manifest["models"]
+        assert sum(models.values()) == manifest["total_jobs"] > 0
+        assert models == summary["entries"][0]["models"]
+        text = render_report(build_report([summary["manifest_path"]]))
+        assert "phases (manifest profiler):" in text
+        assert "tracegen" in text and "metrics" in text
+        assert "timing model: " in text
+
     def test_borrowed_executor_shared_and_left_open(self, tmp_path):
         with make_executor(2) as executor:
             run_figures(["fig8"], str(tmp_path / "a"),

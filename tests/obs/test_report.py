@@ -129,6 +129,26 @@ class TestBuildReport:
                 else TestNativeKernelRecord.LINE) in text
         assert "metrics snapshot:" in text
 
+    def test_sweep_phases_and_models(self, tmp_path):
+        from repro.obs import PhaseProfiler
+
+        sweep = PolicySweep(["gzip"], ["decrypt-only",
+                                       "commit+obfuscation"],
+                            num_instructions=600, warmup=300)
+        profiler = PhaseProfiler()
+        sweep.run(include_baseline=False, profiler=profiler)
+        manifest = tmp_path / "sweep.json"
+        write_json(build_sweep_manifest(sweep, profiler=profiler),
+                   manifest)
+        report = build_report([manifest])
+        eligible = "kernel" if native.native_available() else "no_kernel"
+        assert report["models"] == {eligible: 1, "obfuscating_policy": 1}
+        assert report["phases"]["metrics"] > 0
+        text = render_report(report)
+        assert "phases (manifest profiler):" in text
+        assert "timing model: " in text
+        assert "obfuscating_policy 1" in text
+
     def test_accounting_survives_journal_resume(self, tmp_path):
         from repro.exec import ArtifactStore
         from repro.exec.store import using_store

@@ -15,6 +15,7 @@ from repro.perf.golden import (
     GOLDEN_DIGESTS,
     GOLDEN_INSTRUCTIONS,
     GOLDEN_WARMUP,
+    check_goldens,
     golden_cells,
     stats_digest,
 )
@@ -53,8 +54,6 @@ class TestGoldenParity:
         assert digest == GOLDEN_DIGESTS[key]
 
     def test_check_goldens_is_clean(self):
-        from repro.perf.bench import check_goldens
-
         assert check_goldens() == []
 
     def test_digest_is_sensitive_to_counter_drift(self):
@@ -66,3 +65,22 @@ class TestGoldenParity:
                       if isinstance(v, int))[0]
         stats[name] += 1
         assert stats_digest(stats, hier.miss_summary()) != reference
+
+
+class TestCli:
+    def test_perf_check_exits_clean(self, capsys):
+        from repro.cli import main
+
+        assert main(["perf", "--check"]) == 0
+        assert "parity OK" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [["perf"],
+                                      ["perf", "-n", "100", "--check"]])
+    def test_perf_accepts_only_check(self, argv, capsys):
+        """``--check`` is the one mode; anything else is a usage error."""
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
