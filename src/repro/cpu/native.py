@@ -25,23 +25,28 @@ for CI jobs that must exercise the native path.
 The compiler is ``$CC`` (default ``cc``), split like a shell word list
 so ``CC="ccache cc"`` works.  The compiled object is cached as
 ``<tmpdir>/repro-kernel-<source-hash>.so``; each machine compiles once
-and process-pool workers just dlopen the cached object.  The prepass
-columns are marshalled to flat int64 arrays once per trace
-(``array('q')``; no third-party deps) and reused across all N policy
-replays of a group.
+and process-pool workers just dlopen the cached object.  Nothing is
+copied per replay: the prepass columns are ``array('q')`` from the
+start (or int64 views into a store entry), and the trace-derived
+columns are marshalled once per unit (:func:`trace_columns`) and shared
+by every replay of every prepass variant of that unit.
 """
 
 import ctypes
 import hashlib
 import os
 import shlex
+import struct
 import subprocess
 import tempfile
 from array import array
+from itertools import accumulate, chain
+
+from repro.cpu.prepass import COLUMNS
 
 #: Scalar block layouts -- keep in lockstep with the CFG_*/OUT_*
 #: defines in the C source.
-_CFG_SLOTS = 43
+_CFG_SLOTS = 47
 _OUT_SLOTS = 12
 
 _C_SOURCE = r"""
@@ -62,6 +67,7 @@ enum {
     CFG_RUU_SIZE, CFG_LSQ_SIZE, CFG_DEPTH, CFG_PENALTY, CFG_SB_SIZE,
     CFG_UNIT_LAT0,                    /* ..+7: latency per op code 0..7 */
     CFG_PRUNE_INTERVAL = CFG_UNIT_LAT0 + 8,
+    CFG_DUR_ENTRY, CFG_REMAP_LAT, CFG_HASH_LAT, CFG_BACKING_LAT,
     CFG_SLOTS
 };
 
@@ -172,7 +178,8 @@ static int cal_put(cal_t *c, int64_t key, int64_t val)
 /* ---- replay state shared with mem_access ------------------------- */
 typedef struct {
     const int64_t *a_pre, *a_lvl, *a_ref, *a_wb;
-    const int64_t *m_wb, *m_counter, *d_bank, *d_cat;
+    const int64_t *m_wb, *m_counter, *m_remap, *m_depth, *m_backing;
+    const int64_t *d_bank, *d_cat;
     int64_t *acc_data, *acc_verify, *miss_data, *miss_verify;
     int64_t *bank_ready, *mshr_ring, *completions, *fetch_times;
     int64_t *lat_out, *gap_out;
@@ -180,10 +187,11 @@ typedef struct {
     int64_t pad_hidden, pad_exposed, queue_full, mshr_stalls;
     int64_t mshr_index, mshr_len;
     int64_t n_completions, n_fetch_times, last_start, has_last_start;
-    int64_t dur_line, dur_meta;
+    int64_t dur_line, dur_meta, dur_entry;
     int64_t ras[3];
     int64_t mac_latency, mac_throughput, queue_depth;
     int64_t decrypt_latency, xor_latency, l2_latency;
+    int64_t remap_latency, hash_latency, backing_latency;
     int64_t auth_enabled;
 } rs_t;
 
@@ -205,8 +213,9 @@ static int64_t frontier(const rs_t *rs, int64_t cycle)
     return rs->completions[lo - 1];
 }
 
-/* One posted DRAM write (L1/L2 victim writeback burst member). */
-static void posted_write(rs_t *rs, int64_t cycle)
+/* The next recorded DRAM op, issued at `cycle` and holding the bus for
+ * `dur` cycles; returns its done cycle (DramModel.access + bus.reserve). */
+static int64_t dram_access(rs_t *rs, int64_t cycle, int64_t dur)
 {
     int64_t d = rs->dram_cursor++;
     int64_t bank = rs->d_bank[d];
@@ -215,10 +224,11 @@ static void posted_write(rs_t *rs, int64_t cycle)
     int64_t data_ready = bstart + rs->ras[rs->d_cat[d]];
     int64_t free_at = rs->bus_free;
     int64_t tstart = data_ready > free_at ? data_ready : free_at;
-    int64_t done = tstart + rs->dur_line;
+    int64_t done = tstart + dur;
     rs->bus_free = done;
     rs->wait_cycles += tstart - data_ready;
     rs->bank_ready[bank] = done;
+    return done;
 }
 
 /* Timing replay of one ifetch/load/store access. */
@@ -230,7 +240,7 @@ static void mem_access(rs_t *rs, int64_t cycle, int64_t gate_time,
     int64_t w, lvl, data_time, verify_time, l1_done, l2_cycle;
     cycle += rs->a_pre[i];
     for (w = 0; w < rs->a_wb[i]; w++)
-        posted_write(rs, cycle);
+        dram_access(rs, cycle, rs->dur_line);   /* posted write */
     lvl = rs->a_lvl[i];
     if (lvl == 0) {                                   /* L1 hit */
         int64_t ref = rs->a_ref[i];
@@ -264,11 +274,10 @@ static void mem_access(rs_t *rs, int64_t cycle, int64_t gate_time,
             verify_time = data_time;
     } else {                                          /* L2 miss */
         int64_t m = rs->a_ref[i];
-        int64_t fetch_cycle, slot_free, issue, mc, pad_start;
-        int64_t d, bank, ready, bstart, data_ready, free_at, tstart;
+        int64_t fetch_cycle, slot_free, issue, pad_start, fetch_ready;
         int64_t done, pad_done;
         for (w = 0; w < rs->m_wb[m]; w++)
-            posted_write(rs, l2_cycle);
+            dram_access(rs, l2_cycle, rs->dur_line);
         /* MSHR backpressure, then the fetch gate. */
         fetch_cycle = l2_cycle;
         slot_free = rs->mshr_ring[rs->mshr_index];
@@ -277,36 +286,23 @@ static void mem_access(rs_t *rs, int64_t cycle, int64_t gate_time,
             fetch_cycle = slot_free;
         }
         issue = fetch_cycle > gate_time ? fetch_cycle : gate_time;
-        /* Counter-mode pad source. */
-        mc = rs->m_counter[m];
-        if (mc == 2) {
-            d = rs->dram_cursor++;
-            bank = rs->d_bank[d];
-            ready = rs->bank_ready[bank];
-            bstart = issue > ready ? issue : ready;
-            data_ready = bstart + rs->ras[rs->d_cat[d]];
-            free_at = rs->bus_free;
-            tstart = data_ready > free_at ? data_ready : free_at;
-            pad_start = tstart + rs->dur_meta;
-            rs->bus_free = pad_start;
-            rs->wait_cycles += tstart - data_ready;
-            rs->bank_ready[bank] = pad_start;
-        } else {
-            pad_start = issue;
+        /* Counter-mode pad source: a mispredicted counter-cache miss
+         * waits for the counter block. */
+        pad_start = rs->m_counter[m] == 2
+            ? dram_access(rs, issue, rs->dur_meta) : issue;
+        /* Address obfuscation: the line's slot is known after the re-map
+         * cache probe, or after the entry fetch on a re-map cache miss. */
+        fetch_ready = issue;
+        if (rs->m_remap[m]) {
+            fetch_ready = issue + rs->remap_latency;
+            if (rs->m_remap[m] == 2)
+                fetch_ready = dram_access(rs, fetch_ready, rs->dur_entry);
+            if (fetch_ready < issue)
+                fetch_ready = issue;
         }
         /* Main line fetch. */
-        d = rs->dram_cursor++;
-        bank = rs->d_bank[d];
-        ready = rs->bank_ready[bank];
-        bstart = issue > ready ? issue : ready;
-        data_ready = bstart + rs->ras[rs->d_cat[d]];
-        free_at = rs->bus_free;
-        tstart = data_ready > free_at ? data_ready : free_at;
-        done = tstart + rs->dur_line;
-        rs->bus_free = done;
-        rs->wait_cycles += tstart - data_ready;
-        rs->bank_ready[bank] = done;
-        rs->lat_out[m] = done - issue;
+        done = dram_access(rs, fetch_ready, rs->dur_line);
+        rs->lat_out[m] = done - fetch_ready;
         /* Decrypt overlap. */
         pad_done = pad_start + rs->decrypt_latency;
         if (pad_done <= done) {
@@ -317,13 +313,23 @@ static void mem_access(rs_t *rs, int64_t cycle, int64_t gate_time,
             data_time = pad_done + rs->xor_latency;
         }
         if (rs->auth_enabled) {
-            /* AuthQueue.enqueue(done, 0, fetch_time=done); tag == m. */
+            /* Hash-tree walk (HashTreeTiming.verification_extra): node
+             * fetches chain from the line's arrival; a node resident in
+             * the L2 ends the walk at the L2 latency. */
+            int64_t depth = rs->m_depth[m], backing = rs->m_backing[m];
+            int64_t nodes_ready = done, k;
+            /* AuthQueue.enqueue(max(done, nodes_ready), extra,
+             * fetch_time=done); tag == m. */
             int64_t fetch_time = done, ready_time, qstart;
+            for (k = 0; k < depth - backing; k++)
+                nodes_ready = dram_access(rs, nodes_ready, rs->dur_meta);
+            if (backing)
+                nodes_ready += rs->backing_latency;
             if (rs->n_fetch_times
                     && fetch_time < rs->fetch_times[rs->n_fetch_times - 1])
                 fetch_time = rs->fetch_times[rs->n_fetch_times - 1];
             rs->fetch_times[rs->n_fetch_times++] = fetch_time;
-            ready_time = done;
+            ready_time = nodes_ready > done ? nodes_ready : done;
             if (m >= rs->queue_depth) {
                 int64_t qslot = rs->completions[m - rs->queue_depth];
                 if (qslot > ready_time) {
@@ -338,7 +344,8 @@ static void mem_access(rs_t *rs, int64_t cycle, int64_t gate_time,
                 if (ready_time > qstart)
                     qstart = ready_time;
             }
-            verify_time = qstart + rs->mac_latency;
+            verify_time = qstart + rs->mac_latency
+                + (depth ? rs->hash_latency : 0);
             if (m && verify_time < rs->completions[rs->n_completions - 1])
                 verify_time = rs->completions[rs->n_completions - 1];
             rs->last_start = qstart;
@@ -377,6 +384,8 @@ int64_t repro_replay(const int64_t *cfg,
                      const int64_t *a_pre, const int64_t *a_lvl,
                      const int64_t *a_ref, const int64_t *a_wb,
                      const int64_t *m_wb, const int64_t *m_counter,
+                     const int64_t *m_remap, const int64_t *m_depth,
+                     const int64_t *m_backing,
                      const int64_t *d_bank, const int64_t *d_cat,
                      int64_t *lat_out, int64_t *gap_out, int64_t *out)
 {
@@ -421,11 +430,13 @@ int64_t repro_replay(const int64_t *cfg,
 
     rs.a_pre = a_pre; rs.a_lvl = a_lvl; rs.a_ref = a_ref; rs.a_wb = a_wb;
     rs.m_wb = m_wb; rs.m_counter = m_counter;
+    rs.m_remap = m_remap; rs.m_depth = m_depth; rs.m_backing = m_backing;
     rs.d_bank = d_bank; rs.d_cat = d_cat;
     rs.lat_out = lat_out; rs.gap_out = gap_out;
     rs.mshr_len = cfg[CFG_MSHR_ENTRIES];
     rs.dur_line = cfg[CFG_DUR_LINE];
     rs.dur_meta = cfg[CFG_DUR_META];
+    rs.dur_entry = cfg[CFG_DUR_ENTRY];
     rs.ras[0] = cfg[CFG_RAS0];
     rs.ras[1] = cfg[CFG_RAS1];
     rs.ras[2] = cfg[CFG_RAS2];
@@ -435,6 +446,9 @@ int64_t repro_replay(const int64_t *cfg,
     rs.decrypt_latency = cfg[CFG_DECRYPT_LAT];
     rs.xor_latency = cfg[CFG_XOR_LAT];
     rs.l2_latency = cfg[CFG_L2_LAT];
+    rs.remap_latency = cfg[CFG_REMAP_LAT];
+    rs.hash_latency = cfg[CFG_HASH_LAT];
+    rs.backing_latency = cfg[CFG_BACKING_LAT];
     rs.auth_enabled = cfg[CFG_AUTH_ENABLED];
 
     rs.acc_data = (int64_t *)calloc((size_t)(n_accesses + 1), 8);
@@ -744,7 +758,7 @@ def _load():
         lib = ctypes.CDLL(_ensure_compiled())
         fn = lib.repro_replay
         fn.restype = ctypes.c_int64
-        fn.argtypes = [ctypes.c_void_p] * 18
+        fn.argtypes = [ctypes.c_void_p] * 21
         _lib = lib
     except Exception as exc:
         if _mode() == "require":
@@ -767,48 +781,39 @@ def reset():
     _lib_tried = False
 
 
-def _addr(arr):
-    return arr.buffer_info()[0]
+def _addr(column):
+    """Address of one int64 column: an ``array('q')``, or a zero-copy
+    view the artifact store mapped copy-on-write (so it is writable)."""
+    if isinstance(column, array):
+        return column.buffer_info()[0]
+    if not column.nbytes:
+        return 0
+    return ctypes.addressof(ctypes.c_char.from_buffer(column))
 
 
-def _buffers(prepass):
-    """Flat int64 marshalling of one prepass, built once and cached.
+def trace_columns(packed):
+    """The trace-derived kernel inputs of one unit, as int64 arrays.
 
-    The conversion is paid once per trace and amortised over every
-    policy replay of the group (the whole point of decode-once).
+    ``(ops, dests, src_off, src_flat, mispredicts)``, with the source
+    registers flattened CSR-style.  Built once per unit and handed to
+    every :func:`replay` of every prepass variant; the caller drops
+    them when the unit ends.
     """
-    buf = getattr(prepass, "_native", None)
-    if buf is not None:
-        return buf
-    packed = prepass.packed
-    n = prepass.num_instructions
-    flat = []
-    src_off = array("q", bytes(8 * (n + 1)))
-    offset = 0
-    for i, srcs in enumerate(packed.srcss):
-        offset += len(srcs)
-        src_off[i + 1] = offset
-        flat.extend(srcs)
-    buf = (
-        array("q", packed.ops),
-        array("q", packed.dests),
-        src_off,
-        array("q", flat or [0]),
-        array("q", (1 if m else 0 for m in packed.mispredicts)),
-        # if_flags is a bytearray; array('q', bytearray) would reinterpret
-        # raw bytes, so convert element-wise.
-        array("q", (1 if f else 0 for f in prepass.if_flags)),
-        array("q", prepass.a_pre),
-        array("q", prepass.a_lvl),
-        array("q", prepass.a_ref),
-        array("q", prepass.a_wb),
-        array("q", prepass.m_wb or [0]),
-        array("q", prepass.m_counter or [0]),
-        array("q", prepass.d_bank or [0]),
-        array("q", prepass.d_cat or [0]),
-    )
-    prepass._native = buf
-    return buf
+    srcss = packed.srcss
+    return (_int64(packed.ops), _int64(packed.dests),
+            _int64(accumulate(map(len, srcss), initial=0)),
+            _int64(chain.from_iterable(srcss)),
+            _int64(packed.mispredicts))
+
+
+def _int64(values):
+    """``values`` as an int64 column: a store-loaded int64 view as it
+    is, anything else packed in one C-level pass."""
+    if isinstance(values, memoryview):
+        return values
+    if not isinstance(values, tuple):
+        values = tuple(values)
+    return array("q", struct.pack("%dq" % len(values), *values))
 
 
 def _pack_cfg(prepass, c):
@@ -830,17 +835,22 @@ def _pack_cfg(prepass, c):
         c["fetch_width"], c["issue_width"], c["commit_width"],
         c["ruu_size"], c["lsq_size"], c["depth"], c["penalty"],
         c["sb_size"],
-    ] + list(c["unit_latency"]) + [c["prune_interval"]]
+    ] + list(c["unit_latency"]) + [
+        c["prune_interval"],
+        c["dur_entry"], c["remap_latency"], c["hash_latency"],
+        c["backing_latency"],
+    ]
     for i, value in enumerate(values):
         cfg[i] = value
     return cfg
 
 
-def replay(prepass, c):
+def replay(prepass, c, columns=None):
     """Run the native kernel; returns the output payload dict.
 
     ``c`` is the constants dict from
-    :func:`repro.cpu.shared_kernel._policy_constants`.  Raises
+    :func:`repro.cpu.shared_kernel._policy_constants` and ``columns``
+    the unit's :func:`trace_columns` (built here when None).  Raises
     ``RuntimeError`` when the kernel is off or unavailable and
     ``MemoryError`` when the kernel cannot allocate its working state.
     """
@@ -849,7 +859,8 @@ def replay(prepass, c):
         raise RuntimeError(
             "the native replay kernel is unavailable (REPRO_NATIVE=0, or "
             "no working C compiler); use the legacy simulator")
-    buf = _buffers(prepass)
+    if columns is None:
+        columns = trace_columns(prepass.packed)
     cfg = _pack_cfg(prepass, c)
     n_misses = prepass.n_misses
     lat_out = array("q", bytes(8 * (n_misses + 1)))
@@ -857,7 +868,8 @@ def replay(prepass, c):
     out = array("q", bytes(8 * _OUT_SLOTS))
     rc = lib.repro_replay(
         _addr(cfg),
-        *[_addr(column) for column in buf],
+        *[_addr(column) for column in columns],
+        *[_addr(getattr(prepass, name)) for name in COLUMNS],
         _addr(lat_out), _addr(gap_out), _addr(out))
     if rc != 0:
         raise MemoryError("native replay kernel could not allocate its "

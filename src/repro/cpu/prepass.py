@@ -3,8 +3,9 @@
 The decode-once/evaluate-many pipeline rests on one observation: every
 *structural* decision the memory system makes -- TLB and cache hit/miss
 outcomes, LRU evictions and dirty writebacks, counter-cache probes,
-counter-prediction draws, SDRAM bank/row classification -- depends only
-on the address stream and its order, never on the policy's gating terms.
+counter-prediction draws, hash-tree walks, re-map cache probes and
+re-shuffle draws, SDRAM bank/row classification -- depends only on the
+address stream and its order, never on the policy's gating terms.
 Policies change *when* things happen (cycle arithmetic), not *what*
 happens.  So the walk over caches and banks can run once per trace, and
 each policy evaluation replays only the timing arithmetic over the
@@ -14,23 +15,40 @@ recorded outcomes (:mod:`repro.cpu.shared_kernel`).
 decision, the structural half of ``hierarchy._make_l1_path`` /
 ``hierarchy._l2_miss`` / ``engine.fetch_line`` / ``engine.write_line``
 and records the outcomes on flat per-access / per-miss / per-DRAM-op
-columns (the same structure-of-arrays discipline as
-:class:`~repro.workloads.trace.PackedTrace`).  The differential
-equivalence suite (``tests/cpu/test_shared_kernel.py``) and the perf
-goldens pin the mirror bit-identically against the legacy path.
+``array('q')`` columns (the same structure-of-arrays discipline as
+:class:`~repro.workloads.trace.PackedTrace`), which the replay kernel
+reads in place.  The CHTree walk and the address-obfuscation layer run
+the simulator's own :class:`~repro.secure.hash_tree.HashTreeTiming` and
+:class:`~repro.secure.remap.AddressObfuscator` over the mirrored L2 and
+a controller stand-in that records the DRAM ops they issue: node-cache
+and re-map-cache probes, tree-node installs into the L2 and the
+``RemapTable.reshuffle`` draws happen exactly as in the legacy run, and
+only the done-cycles of those ops are left to the replay.  The
+differential equivalence suite (``tests/cpu/test_shared_kernel.py``)
+and the perf goldens pin the mirror bit-identically against the legacy
+path.
 
-Which configurations the walk supports and which policies can be
-replayed over it is decided, together with "the compiled replay kernel
-is available" and "no enabled tracer wants per-run events", by the
-executor's one model rule
-(:func:`~repro.exec.executor.kernel_fallback`); every other member runs
-the legacy per-policy simulator (CBC mode, hash trees, address
-obfuscation, prefetching, obfuscating policies, traced runs, hosts
-without a C compiler), and no prepass is built for a unit none of whose
-members uses the kernel.
+Two policy terms change the structure, so a unit walks one prepass per
+:func:`structural_variant` its kernel members need: obfuscating
+policies switch the re-map layer on, and only authenticating policies
+walk the hash tree.
+
+Which members replay over a prepass is decided by the executor's one
+model rule (:func:`~repro.exec.executor.kernel_fallback`); every other
+member runs the legacy per-policy simulator (CBC mode, prefetching,
+traced runs, hosts without the compiled kernel), and no prepass is
+built for a unit none of whose members uses the kernel.
 """
 
+from array import array
+from dataclasses import replace
+
+from repro.config import SimConfig
+from repro.secure.hash_tree import HashTreeTiming
 from repro.secure.metadata import MetadataLayout
+from repro.secure.remap import AddressObfuscator
+from repro.util.rng import DeterministicRng
+from repro.util.statistics import StatGroup
 
 #: Sentinel row id meaning "bank precharged/idle" (rows are >= 0).
 _NO_ROW = -1
@@ -46,11 +64,158 @@ LVL_L1_HIT = 0
 LVL_L2_HIT = 1
 LVL_MISS = 2
 
+# Re-map outcomes recorded per L2 miss.
+REMAP_NONE = 0    # no obfuscation layer
+REMAP_HIT = 1     # entry found in the re-map cache
+REMAP_FETCH = 2   # entry fetched from the in-memory re-map table
+
+#: The recorded columns, in the replay kernel's argument order (the
+#: artifact store writes the same list).
+COLUMNS = ("if_flags", "a_pre", "a_lvl", "a_ref", "a_wb",
+           "m_wb", "m_counter", "m_remap", "m_depth", "m_backing",
+           "d_bank", "d_cat")
+
+#: The sim StatGroup counters the counter, tree-node and re-map caches
+#: share (each ``Cache`` registers the same four names).
+_SHARED_CACHE_STATS = ("hits", "misses", "evictions", "writebacks")
+
+
+#: Fields the walk never reads: pure timing, so configurations that
+#: differ only in them share one structural variant (and one prepass).
+_TIMING_SECURE = ("decrypt_latency", "hmac_latency", "mac_scheme",
+                  "gmac_latency", "mac_bits", "auth_queue_depth",
+                  "mac_throughput", "store_buffer_entries",
+                  "remap_cache_latency")
+_TIMING_DRAM = ("bus_multiplier", "bus_width_bytes", "cas_bus_clocks",
+                "rcd_bus_clocks", "rp_bus_clocks", "chunk_gap_cycles")
+#: Mechanism parameters, unread while the mechanism is off.
+_TREE_SECURE = ("hash_tree_cache_bytes",)
+_REMAP_SECURE = ("remap_cache_bytes", "remap_entry_bytes",
+                 "remap_chunk_bytes", "remap_shuffle_period")
+_DEFAULT = SimConfig()
+
+
+def structural_terms(config, policy):
+    """``(hash_tree, obfuscation)``: which mechanisms the legacy model
+    builds for ``policy`` under ``config``.
+
+    :class:`~repro.cpu.hierarchy.MemoryHierarchy` switches the re-map
+    layer on for an obfuscating policy, and
+    :class:`~repro.secure.engine.SecureMemoryEngine` builds the hash
+    tree only for an authenticating one.
+    """
+    secure = config.secure
+    return (secure.hash_tree_enabled and policy.authentication,
+            secure.obfuscation_enabled or policy.obfuscation)
+
+
+def structural_variant(config, policy):
+    """The configuration whose structural walk ``policy`` replays over.
+
+    ``config`` with the mechanisms of :func:`structural_terms` switched
+    on or off and every field the walk does not read reset to its
+    default: the core, cache and DRAM latencies, the crypto and queue
+    timing, and the parameters (and re-map seed) of a mechanism that is
+    off.  Members -- of one unit, or of any figure -- whose variants are
+    equal share one prepass.
+    """
+    hash_tree, obfuscation = structural_terms(config, policy)
+    defaults = _DEFAULT.secure
+    reset = list(_TIMING_SECURE)
+    if not hash_tree:
+        reset.extend(_TREE_SECURE)
+    if not obfuscation:
+        reset.extend(_REMAP_SECURE)
+    secure = replace(config.secure, hash_tree_enabled=hash_tree,
+                     obfuscation_enabled=obfuscation,
+                     **{name: getattr(defaults, name) for name in reset})
+    dram = replace(config.dram, **{name: getattr(_DEFAULT.dram, name)
+                                   for name in _TIMING_DRAM})
+    return replace(config, core=_DEFAULT.core,
+                   l1i=replace(config.l1i, latency=1),
+                   l1d=replace(config.l1d, latency=1),
+                   l2=replace(config.l2, latency=1),
+                   dram=dram, secure=secure,
+                   mshr_entries=_DEFAULT.mshr_entries,
+                   seed=config.seed if obfuscation else _DEFAULT.seed)
+
+
+class _OpRecorder:
+    """Memory-controller stand-in for the reused tree/re-map models.
+
+    Records every DRAM op they issue, in issue order, and returns itself
+    as the access; the walk never reads its ``done_cycle``.
+    """
+
+    __slots__ = ("dram_op", "fetches", "writes")
+    done_cycle = 0
+
+    def __init__(self, dram_op):
+        self.dram_op = dram_op
+        self.fetches = 0
+        self.writes = 0
+
+    def fetch_metadata(self, addr, cycle, num_bytes, kind="metadata"):
+        self.dram_op(addr)
+        self.fetches += 1
+        return self
+
+    def write_line(self, addr, cycle, kind="writeback"):
+        self.dram_op(addr)
+        self.writes += 1
+        return self
+
+
+class _MirroredL2:
+    """The hash tree's backing cache, over the walk's mirrored L2 sets.
+
+    :meth:`access` is ``Cache.access`` for a tree node: a hit refreshes
+    recency; a miss installs the node clean, recycling the LRU entry in
+    place as ``Cache.fill`` recycles its ``LineState``.  The victim's
+    dirty bit is dropped unwritten, as the legacy walk drops it (see
+    :meth:`~repro.secure.hash_tree.HashTreeTiming.verification_extra`).
+    ``hit`` is the outcome of the last access.
+    """
+
+    __slots__ = ("sets", "num_sets", "line_bytes", "assoc", "counts", "hit")
+
+    def __init__(self, sets, line_bytes, assoc, counts):
+        self.sets = sets
+        self.num_sets = len(sets)
+        self.line_bytes = line_bytes
+        self.assoc = assoc
+        self.counts = counts  # the L2's [hits, misses] pair
+        self.hit = False
+
+    def access(self, addr):
+        line_addr = addr // self.line_bytes
+        cache_set = self.sets[line_addr % self.num_sets]
+        tag = line_addr // self.num_sets
+        entry = cache_set.get(tag)
+        if entry is not None:
+            self.counts[0] += 1
+            del cache_set[tag]
+            cache_set[tag] = entry
+            self.hit = True
+            return self
+        self.counts[1] += 1
+        if len(cache_set) >= self.assoc:
+            entry = cache_set.pop(next(iter(cache_set)))
+            entry[0] = -1
+            entry[1] = False
+            entry[2] = tag
+        else:
+            entry = [-1, False, tag]
+        cache_set[tag] = entry
+        self.hit = False
+        return self
+
 
 class TracePrepass:
     """Recorded structural outcomes of one (trace, config, warmup) walk.
 
-    Column semantics (all parallel lists of ints):
+    Column semantics (parallel ``array('q')`` columns as built, or
+    zero-copy int64 views when loaded from the artifact store):
 
     - per instruction: ``if_flags[i]`` is 1 when instruction ``i``
       fetches a new I-line (the ``iline != cur_iline`` test);
@@ -58,28 +223,38 @@ class TracePrepass:
       instruction): ``a_pre`` (TLB miss latency to add), ``a_lvl`` (one
       of the ``LVL_*`` outcomes), ``a_ref`` (for an L1 hit: index of the
       access that filled the line; for an L2 hit: index of the *miss*
-      that filled it, or -1 for a line installed by an L1 writeback; for
-      a miss: its miss index), ``a_wb`` (posted DRAM writes issued by
-      the L1 victim writeback, incl. re-encryption bursts);
+      that filled it, or -1 for a line installed by an L1 writeback or
+      a tree walk; for a miss: its miss index), ``a_wb`` (posted DRAM
+      writes issued by the L1 victim writeback, incl. re-encryption and
+      re-shuffle bursts);
     - per L2 demand miss: ``m_wb`` (posted DRAM writes from the L2
       victim writeback), ``m_counter`` (0 = counter-cache hit, 1 =
-      predicted, 2 = counter block fetched from memory);
+      predicted, 2 = counter block fetched from memory), ``m_remap``
+      (one of the ``REMAP_*`` outcomes), ``m_depth`` (hash-tree walk
+      depth) and ``m_backing`` (1 when the walk ended on a node resident
+      in the L2);
     - per DRAM op, in issue order: ``d_bank`` and ``d_cat`` (``ROW_*``).
+      A miss issues its counter fetch, its re-map entry fetch, its line,
+      then its ``m_depth - m_backing`` tree-node fetches.
 
-    Plus the policy-independent stat totals and the post-warmup
+    Plus the policy-independent stat totals -- ``meta_*`` sum the
+    counter, tree-node and re-map caches, which share the sim group's
+    ``hits``/``misses``/``evictions``/``writebacks`` counters --
+    ``secure_stats`` (the tree and re-map counters of the mechanisms
+    walked, in ``StatGroup.as_dict`` form), and the post-warmup
     ``miss_summary`` the replay hands through unchanged.
     """
 
     __slots__ = (
-        "num_instructions", "warmup", "packed", "if_flags",
+        "num_instructions", "warmup", "hash_tree", "obfuscation",
+        "packed", "if_flags",
         "a_pre", "a_lvl", "a_ref", "a_wb",
-        "m_wb", "m_counter",
+        "m_wb", "m_counter", "m_remap", "m_depth", "m_backing",
         "d_bank", "d_cat",
         "n_accesses", "n_misses", "n_meta", "n_writes",
-        "cc_hits", "cc_misses", "cc_evictions", "cc_writebacks",
+        "meta_hits", "meta_misses", "meta_evictions", "meta_writebacks",
         "row_hits", "row_empty", "row_conflicts",
-        "page_reencryptions", "miss_summary",
-        "_native",   # lazily-built flat buffers for repro.cpu.native
+        "page_reencryptions", "secure_stats", "miss_summary",
     )
 
     @property
@@ -92,7 +267,9 @@ def build_prepass(trace, config, warmup=0,
                   protected_bytes=256 * 1024 * 1024):
     """Run the structural walk; returns a :class:`TracePrepass`.
 
-    Must only be called for configurations
+    ``config`` is a :func:`structural_variant`: its ``hash_tree_enabled``
+    and ``obfuscation_enabled`` say which mechanisms the walk runs.  Must
+    only be called for configurations
     :func:`~repro.exec.executor.kernel_fallback` admits; the walk
     assumes the counter-mode fast path's structure.
     """
@@ -157,22 +334,23 @@ def build_prepass(trace, config, warmup=0,
     open_rows = [_NO_ROW] * num_banks
 
     # ---- output columns ----------------------------------------------
-    if_flags = bytearray(num_insts)
-    a_pre = []
-    a_lvl = []
-    a_ref = []
-    a_wb = []
-    m_wb = []
-    m_counter = []
-    d_bank = []
-    d_cat = []
+    if_flags = array("q", bytes(8 * num_insts))
+    a_pre = array("q")
+    a_lvl = array("q")
+    a_ref = array("q")
+    a_wb = array("q")
+    m_wb = array("q")
+    m_counter = array("q")
+    m_remap = array("q")
+    m_depth = array("q")
+    m_backing = array("q")
+    d_bank = array("q")
+    d_cat = array("q")
 
     # ---- structural counters -----------------------------------------
     counts = {
         "cc_hits": 0, "cc_misses": 0, "cc_evictions": 0,
-        "cc_writebacks": 0,
-        "row_hits": 0, "row_empty": 0, "row_conflicts": 0,
-        "n_meta": 0, "n_writes": 0, "reencrypts": 0,
+        "cc_writebacks": 0, "n_writes": 0, "reencrypts": 0,
     }
     # Per-level hit/miss pairs for miss_summary (reset at warmup).
     hm = {"l1i": [0, 0], "l1d": [0, 0], "l2": [0, 0],
@@ -183,18 +361,35 @@ def build_prepass(trace, config, warmup=0,
         bank = (addr // interleave) % num_banks
         row = addr // row_div
         prev = open_rows[bank]
-        if prev == row:
-            cat = ROW_HIT
-            counts["row_hits"] += 1
-        elif prev == _NO_ROW:
-            cat = ROW_EMPTY
-            counts["row_empty"] += 1
-        else:
-            cat = ROW_CONFLICT
-            counts["row_conflicts"] += 1
         open_rows[bank] = row
         d_bank.append(bank)
-        d_cat.append(cat)
+        d_cat.append(ROW_HIT if prev == row
+                     else ROW_EMPTY if prev == _NO_ROW else ROW_CONFLICT)
+
+    # ---- the reused tree / re-map models (sim-group stats mirrored) --
+    side_stats = StatGroup("sim")
+    recorder = _OpRecorder(dram_op)
+    tree = None
+    backing = None
+    if secure.hash_tree_enabled:
+        tree = HashTreeTiming(layout,
+                              cache_bytes=secure.hash_tree_cache_bytes,
+                              stats=side_stats)
+        backing = _MirroredL2(l2_sets, l2_line_bytes, l2_assoc,
+                              hm["l2"])
+        tree.attach_backing(backing, l2_cfg.latency)
+    obfuscator = None
+    if secure.obfuscation_enabled:
+        obfuscator = AddressObfuscator(
+            layout,
+            DeterministicRng(config.seed).stream("remap"),
+            cache_bytes=secure.remap_cache_bytes,
+            entry_bytes=secure.remap_entry_bytes,
+            cache_latency=secure.remap_cache_latency,
+            chunk_bytes=secure.remap_chunk_bytes,
+            shuffle_period=secure.remap_shuffle_period,
+            stats=side_stats,
+        )
 
     def cc_bump(caddr):
         """CounterCache.bump: probe-as-write, fill-as-write on miss."""
@@ -218,7 +413,6 @@ def build_prepass(trace, config, warmup=0,
     def engine_write(addr):
         """SecureMemoryEngine.write_line, structurally; returns the
         number of posted DRAM writes it issued."""
-        nonlocal predict_state
         if split_counters:
             caddr = counter_base + (addr // 4096) * line_bytes
         else:
@@ -238,9 +432,17 @@ def build_prepass(trace, config, warmup=0,
                     dram_op(page_base + index * line_bytes)
                 ops += lines_per_page
                 counts["reencrypts"] += 1
-        dram_op(addr)
-        counts["n_writes"] += ops + 1
-        return ops + 1
+        if tree is not None:
+            tree.touch_for_update(addr)
+        if obfuscator is not None:
+            before = recorder.writes
+            obfuscator.reshuffle_on_writeback(addr, 0, recorder)
+            ops += recorder.writes - before
+        else:
+            dram_op(addr)
+            ops += 1
+        counts["n_writes"] += ops
+        return ops
 
     def l1_writeback(victim_addr):
         """MemoryHierarchy._l1_writeback, structurally; returns the
@@ -268,7 +470,7 @@ def build_prepass(trace, config, warmup=0,
 
     def l2_miss(addr):
         """MemoryHierarchy._l2_miss + engine.fetch_line, structurally;
-        returns the number of posted DRAM writes from the L2 victim."""
+        returns the miss index."""
         nonlocal predict_state
         miss_index = len(m_counter)
         mline = addr // l2_line_bytes
@@ -280,7 +482,10 @@ def build_prepass(trace, config, warmup=0,
         victim = None
         if len(mset) >= l2_assoc:
             victim = mset.pop(next(iter(mset)))
-        mset[mtag] = [miss_index, False, mtag]
+        # Timestamped once the fetch returns (after the tree walk, which
+        # may recycle this very entry for a node it installs).
+        line_entry = [-1, False, mtag]
+        mset[mtag] = line_entry
         if victim is not None and victim[1]:
             wb_ops = engine_write(((victim[2] * l2_num_sets + set_index)
                                    * l2_line_bytes) % wrap)
@@ -311,11 +516,30 @@ def build_prepass(trace, config, warmup=0,
                 mc = 1
             else:
                 mc = 2
-                counts["n_meta"] += 1
                 dram_op(caddr)
-        dram_op(target)
+        # Address obfuscation: the line is fetched at its re-mapped slot.
+        if obfuscator is None:
+            remap = REMAP_NONE
+            dram_op(target)
+        else:
+            before = recorder.fetches
+            located, _ = obfuscator.resolve(target, 0, recorder)
+            remap = REMAP_HIT if recorder.fetches == before else REMAP_FETCH
+            dram_op(located)
+        # Hash-tree walk: node fetches up to the first cached ancestor.
+        depth = backing_hit = 0
+        if tree is not None:
+            backing.hit = False
+            before = recorder.fetches
+            tree.verification_extra(target, 0, recorder)
+            backing_hit = 1 if backing.hit else 0
+            depth = recorder.fetches - before + backing_hit
+        line_entry[0] = miss_index
         m_counter.append(mc)
         m_wb.append(wb_ops)
+        m_remap.append(remap)
+        m_depth.append(depth)
+        m_backing.append(backing_hit)
         return miss_index
 
     def make_access(l1_sets_, l1_num_sets, l1_line_bytes, l1_assoc,
@@ -433,9 +657,14 @@ def build_prepass(trace, config, warmup=0,
         total = hits + misses
         miss_summary[key] = misses / total if total else 0.0
 
+    secure_stats = side_stats.as_dict()
+    shared = [secure_stats.pop(name, 0) for name in _SHARED_CACHE_STATS]
+
     pre = TracePrepass()
     pre.num_instructions = num_insts
     pre.warmup = warmup
+    pre.hash_tree = tree is not None
+    pre.obfuscation = obfuscator is not None
     pre.packed = packed
     pre.if_flags = if_flags
     pre.a_pre = a_pre
@@ -444,19 +673,24 @@ def build_prepass(trace, config, warmup=0,
     pre.a_wb = a_wb
     pre.m_wb = m_wb
     pre.m_counter = m_counter
+    pre.m_remap = m_remap
+    pre.m_depth = m_depth
+    pre.m_backing = m_backing
     pre.d_bank = d_bank
     pre.d_cat = d_cat
     pre.n_accesses = len(a_lvl)
     pre.n_misses = len(m_counter)
-    pre.n_meta = counts["n_meta"]
+    # Counter-block fetches plus the tree/re-map metadata fetches.
+    pre.n_meta = m_counter.count(2) + recorder.fetches
     pre.n_writes = counts["n_writes"]
-    pre.cc_hits = counts["cc_hits"]
-    pre.cc_misses = counts["cc_misses"]
-    pre.cc_evictions = counts["cc_evictions"]
-    pre.cc_writebacks = counts["cc_writebacks"]
-    pre.row_hits = counts["row_hits"]
-    pre.row_empty = counts["row_empty"]
-    pre.row_conflicts = counts["row_conflicts"]
+    pre.meta_hits = counts["cc_hits"] + shared[0]
+    pre.meta_misses = counts["cc_misses"] + shared[1]
+    pre.meta_evictions = counts["cc_evictions"] + shared[2]
+    pre.meta_writebacks = counts["cc_writebacks"] + shared[3]
+    pre.row_hits = d_cat.count(ROW_HIT)
+    pre.row_empty = d_cat.count(ROW_EMPTY)
+    pre.row_conflicts = d_cat.count(ROW_CONFLICT)
     pre.page_reencryptions = counts["reencrypts"]
+    pre.secure_stats = secure_stats
     pre.miss_summary = miss_summary
     return pre

@@ -27,6 +27,7 @@ from time import perf_counter
 
 from repro.cpu.core import _UNIT_LATENCY, _CALENDAR_PRUNE_INTERVAL, RunResult
 from repro.cpu import native
+from repro.cpu.prepass import structural_terms
 from repro.util.statistics import StatGroup
 
 
@@ -65,6 +66,10 @@ def _policy_constants(policy, config):
         "auth_enabled": auth_enabled,
         "dur_line": -(-(line_bytes + mac_rider) // bus_width) * beat,
         "dur_meta": -(-line_bytes // bus_width) * beat,
+        "dur_entry": -(-secure.remap_entry_bytes // bus_width) * beat,
+        "remap_latency": secure.remap_cache_latency,
+        "hash_latency": secure.hmac_latency,
+        "backing_latency": config.l2.latency,
         "ras": (cas, dram_cfg.rcd_cycles + cas,
                 dram_cfg.rp_cycles + dram_cfg.rcd_cycles + cas),
         "mac_latency": mac_latency,
@@ -91,10 +96,13 @@ def _policy_constants(policy, config):
 
 
 def replay_policy(prepass, policy, config, trace_name="trace",
-                  profiler=None):
+                  profiler=None, columns=None):
     """Replay ``prepass`` under ``policy``; returns a :class:`RunResult`.
 
-    The result's ``stats`` group carries the same counters (including
+    ``prepass`` must be the walk of ``structural_variant(config,
+    policy)`` (``ValueError`` otherwise); ``columns`` is the unit's
+    :func:`repro.cpu.native.trace_columns`, built here when None.  The
+    result's ``stats`` group carries the same counters (including
     zero-valued ones) as a legacy ``build_simulator`` + ``core.run``
     pass, so stats digests match byte-for-byte.  Runs the compiled
     kernel from :mod:`repro.cpu.native`; raises ``RuntimeError`` when
@@ -103,13 +111,19 @@ def replay_policy(prepass, policy, config, trace_name="trace",
     """
     start_wall = perf_counter() if profiler is not None else 0.0
 
+    terms = structural_terms(config, policy)
+    if (prepass.hash_tree, prepass.obfuscation) != terms:
+        raise ValueError(
+            "policy %r needs the prepass of its structural variant "
+            "(hash_tree=%s, obfuscation=%s)" % ((policy.name,) + terms))
     c = _policy_constants(policy, config)
-    o = native.replay(prepass, c)
+    o = native.replay(prepass, c, columns)
 
     # ---- assemble the stats group (legacy counter inventory) ---------
     stats = StatGroup("sim")
     counter = stats.counter
     n_line_ops = prepass.n_misses + prepass.n_writes
+    n_entry = prepass.secure_stats.get("remap_entry_fetches", 0)
     counter("line_reads").value = prepass.n_misses
     counter("line_writes").value = prepass.n_writes
     counter("metadata_accesses").value = prepass.n_meta
@@ -119,17 +133,24 @@ def replay_policy(prepass, policy, config, trace_name="trace",
     counter("row_conflicts").value = prepass.row_conflicts
     counter("accesses").value = prepass.dram_ops
     counter("busy_cycles").value = (n_line_ops * c["dur_line"]
-                                    + prepass.n_meta * c["dur_meta"])
+                                    + (prepass.n_meta - n_entry)
+                                    * c["dur_meta"]
+                                    + n_entry * c["dur_entry"])
     counter("transfers").value = prepass.dram_ops
     counter("wait_cycles").value = o["wait_cycles"]
     counter("pad_fully_hidden").value = o["pad_hidden"]
     counter("pad_exposed_cycles").value = o["pad_exposed"]
-    counter("hits").value = prepass.cc_hits
-    counter("misses").value = prepass.cc_misses
-    counter("evictions").value = prepass.cc_evictions
-    counter("writebacks").value = prepass.cc_writebacks
+    counter("hits").value = prepass.meta_hits
+    counter("misses").value = prepass.meta_misses
+    counter("evictions").value = prepass.meta_evictions
+    counter("writebacks").value = prepass.meta_writebacks
     counter("auth_requests").value = o["auth_requests"]
     counter("auth_queue_full").value = o["queue_full"]
+    for name, value in prepass.secure_stats.items():
+        if isinstance(value, dict):
+            stats.histogram(name).buckets.update(value)
+        else:
+            counter(name).value = value
     stats.histogram("decrypt_verify_gap").buckets.update(o["gap_buckets"])
     counter("page_reencryptions").value = prepass.page_reencryptions
     counter("mshr_stall_events").value = o["mshr_stalls"]

@@ -163,34 +163,30 @@ def kernel_fallback(config, policy, tracer=None):
 
     - ``traced``: an enabled ``tracer`` asks for per-run events, which
       only the legacy model emits;
-    - ``hash_tree``, ``obfuscation``, ``encryption_mode`` (not counter
-      mode), ``prefetch``: the structural prepass does not walk this
-      configuration;
-    - ``obfuscating_policy``: the policy restructures the engine
-      (re-map table accesses interleave with data fetches);
+    - ``encryption_mode`` (not counter mode), ``prefetch``: the
+      structural prepass does not walk this configuration;
     - ``no_kernel``: the compiled kernel is unavailable
       (:func:`repro.cpu.native.native_available`).  Checked last, so
       it names exactly the kernel-eligible members a host without a
       compiler (or ``REPRO_NATIVE=0``) sent to the legacy model.
 
-    Every other member runs the legacy
+    The CHTree walk and the address re-map layer (configured, or
+    switched on by the policy) are not terms: the prepass walks them,
+    one :func:`~repro.cpu.prepass.structural_variant` at a time.  A
+    member some term names runs the legacy
     :class:`~repro.cpu.core.TimestampCore`.  The two are bit-identical
     -- the differential suite pins that -- so the choice moves wall
-    time, never a result.
+    time, never a result.  No term reads ``policy``; it stays in the
+    signature because the rule is applied per member.
     """
     from repro.cpu import native
 
     if tracer is not None and tracer.enabled:
         return "traced"
-    secure = config.secure
-    for reason, fails in (
-            ("hash_tree", secure.hash_tree_enabled),
-            ("obfuscation", secure.obfuscation_enabled),
-            ("encryption_mode", secure.encryption_mode != "ctr"),
-            ("prefetch", config.prefetch_degree != 0),
-            ("obfuscating_policy", policy.obfuscation)):
-        if fails:
-            return reason
+    if config.secure.encryption_mode != "ctr":
+        return "encryption_mode"
+    if config.prefetch_degree != 0:
+        return "prefetch"
     if not native.native_available():
         return "no_kernel"
     return None
@@ -210,10 +206,12 @@ def iter_unit_results(unit, skip=(), tracer=None, profiler=None,
     :class:`~repro.exec.job.MultiPolicySimJob`.  One decode serves
     every member: the trace comes from the cache once, keyed by
     ``unit.effective_seed`` (so decorrelated jobs draw their own
-    stream), and one structural prepass feeds the shared kernel for
-    every member :func:`uses_kernel` assigns to it.  The rest run the
-    legacy simulator on the same cached trace, with ``tracer`` threaded
-    through.
+    stream), and one structural prepass per
+    :func:`~repro.cpu.prepass.structural_variant` feeds the shared
+    kernel for every member :func:`uses_kernel` assigns to it; the
+    trace's kernel columns are marshalled once and shared by every
+    variant.  The rest run the legacy simulator on the same cached
+    trace, with ``tracer`` threaded through.
 
     ``skip`` is a set of member job_ids to leave out (mid-group resume:
     the retry loop passes the members already settled).
@@ -233,9 +231,11 @@ def iter_unit_results(unit, skip=(), tracer=None, profiler=None,
     Results are not looked up in or published to the store's result
     tier here -- the caller owns that (the executors' resume pre-pass
     and ``_RunState.complete``; the dist worker; :func:`execute_job`).
-    The prepass is store-backed: loaded when present, built and
+    Each prepass is store-backed: loaded when present, built and
     published (under a single-flight lock) when not.
     """
+    from repro.cpu import native
+    from repro.cpu.prepass import structural_variant
     from repro.cpu.shared_kernel import replay_policy
     from repro.exec.store import active_store
     from repro.policies import make_policy
@@ -259,9 +259,14 @@ def iter_unit_results(unit, skip=(), tracer=None, profiler=None,
     policies = {m.policy: make_policy(m.policy) for m in members}
     fallback = {name: kernel_fallback(unit.config, policy, tracer)
                 for name, policy in policies.items()}
-    kernel = {name for name, reason in fallback.items() if reason is None}
-    prepass = (_shared_prepass(unit, trace, active_store(),
-                               profiler=profiler) if kernel else None)
+    variants = {name: structural_variant(unit.config, policies[name])
+                for name, reason in fallback.items() if reason is None}
+    prepasses = {}
+    for variant in variants.values():
+        if variant not in prepasses:
+            prepasses[variant] = _shared_prepass(
+                unit, variant, trace, active_store(), profiler=profiler)
+    columns = native.trace_columns(trace.packed()) if prepasses else None
     shared_seconds = time.perf_counter() - started
     for position, member in enumerate(members):
         if _ATTEMPT_HOOK is not None:
@@ -269,12 +274,12 @@ def iter_unit_results(unit, skip=(), tracer=None, profiler=None,
                           attempt_of(member) if attempt_of is not None
                           else 1)
         member_start = time.perf_counter()
-        if member.policy in kernel:
-            result = replay_policy(prepass, policies[member.policy],
-                                   unit.config,
+        if member.policy in variants:
+            result = replay_policy(prepasses[variants[member.policy]],
+                                   policies[member.policy], unit.config,
                                    trace_name=getattr(trace, "name",
                                                       "trace"),
-                                   profiler=profiler)
+                                   profiler=profiler, columns=columns)
         else:
             core, _ = build_simulator(unit.config, member.policy,
                                       tracer=tracer)
@@ -300,26 +305,26 @@ def iter_unit_results(unit, skip=(), tracer=None, profiler=None,
         yield member, result
 
 
-def _shared_prepass(unit, trace, store, profiler=None):
-    """The unit's structural prepass: store-loaded or built-and-saved.
+def _shared_prepass(unit, config, trace, store, profiler=None):
+    """The unit's prepass for structural variant ``config``:
+    store-loaded or built-and-saved.
 
     A store load re-attaches the (cached) trace's packed columns; a
     build publishes under a single-flight lock so concurrent workers
-    walking the same (trace, config, warmup) pay one walk.
+    walking the same (trace, variant, warmup) pay one walk.
     """
     from repro.cpu.prepass import build_prepass
 
     def build():
         if profiler is not None:
             with profiler.phase("prepass"):
-                return build_prepass(trace, unit.config,
-                                     warmup=unit.warmup)
-        return build_prepass(trace, unit.config, warmup=unit.warmup)
+                return build_prepass(trace, config, warmup=unit.warmup)
+        return build_prepass(trace, config, warmup=unit.warmup)
 
     if store is None:
         return build()
     key = (unit.benchmark, unit.trace_length, unit.effective_seed,
-           unit.config, unit.warmup)
+           config, unit.warmup)
     packed = trace.packed()
     prepass = store.load_prepass(*key, packed)
     if prepass is not None:

@@ -175,6 +175,10 @@ _FINGERPRINT_FILES = {
         "workloads/tracegen.py", "workloads/trace.py", "workloads/spec.py",
         "util/rng.py",
         "cpu/prepass.py", "secure/metadata.py", "config.py",
+        # The walk drives these models' own caches, RemapTable draws
+        # and tree paths.
+        "secure/hash_tree.py", "secure/remap.py", "cache/cache.py",
+        "util/statistics.py",
     ),
 }
 #: Result fingerprints hash whole packages: anything that can move a
@@ -274,13 +278,15 @@ def _read_entry(path):
     Returns ``(header, {name: column})`` where int64 columns are
     zero-copy ``memoryview('q')`` casts into the mapping (byte columns
     stay plain byte views).  The views keep the ``mmap`` alive; nothing
-    is copied out of the page cache.  Raises
-    :class:`CorruptEntryError` on any validation failure.
+    is copied out of the page cache.  The mapping is copy-on-write, so
+    the views are writable buffers the replay kernel can take the
+    address of; nothing writes them, and no write could reach the
+    file.  Raises :class:`CorruptEntryError` on any validation failure.
     """
     with open(path, "rb") as handle:
         if os.fstat(handle.fileno()).st_size < _PREAMBLE_LEN:
             raise CorruptEntryError("truncated preamble")
-        mm = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+        mm = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_COPY)
     magic, version, header_len, header_crc, payload_len, payload_crc = \
         _PREAMBLE.unpack_from(mm, 0)
     if magic != _MAGIC:
@@ -369,13 +375,12 @@ class StoredTrace:
         return self._packed
 
 
-#: Prepass int64 columns, in file order (``if_flags`` is a byte column
-#: and handled separately; scalars ride in the header).
-_PREPASS_COLUMNS = ("a_pre", "a_lvl", "a_ref", "a_wb", "m_wb", "m_counter",
-                    "d_bank", "d_cat")
-_PREPASS_SCALARS = ("num_instructions", "warmup", "n_accesses", "n_misses",
-                    "n_meta", "n_writes", "cc_hits", "cc_misses",
-                    "cc_evictions", "cc_writebacks", "row_hits", "row_empty",
+#: Prepass scalars, which ride in the header (the int64 columns are
+#: ``repro.cpu.prepass.COLUMNS``, in file order).
+_PREPASS_SCALARS = ("num_instructions", "warmup", "hash_tree", "obfuscation",
+                    "n_accesses", "n_misses", "n_meta", "n_writes",
+                    "meta_hits", "meta_misses", "meta_evictions",
+                    "meta_writebacks", "row_hits", "row_empty",
                     "row_conflicts", "page_reencryptions")
 
 
@@ -608,15 +613,19 @@ class ArtifactStore:
             self._quarantine(path, "key/fingerprint mismatch")
             self._miss("prepass")
             return None
-        from repro.cpu.prepass import TracePrepass
+        from repro.cpu.prepass import COLUMNS, TracePrepass
 
         pre = TracePrepass()
         pre.packed = packed
         for name in _PREPASS_SCALARS:
             setattr(pre, name, scalars[name])
         pre.miss_summary = header["miss_summary"]
-        pre.if_flags = cols["if_flags"]
-        for name in _PREPASS_COLUMNS:
+        # JSON keys are strings; histogram buckets are int-keyed.
+        pre.secure_stats = {
+            name: ({int(key): count for key, count in value.items()}
+                   if isinstance(value, dict) else value)
+            for name, value in header["secure_stats"].items()}
+        for name in COLUMNS:
             setattr(pre, name, cols[name])
         self._hit("prepass", os.path.getsize(path))
         self._touch(path)
@@ -624,10 +633,10 @@ class ArtifactStore:
 
     def save_prepass(self, prepass, benchmark, trace_length, seed, config,
                      warmup):
-        columns = [("if_flags", "B", bytes(prepass.if_flags))]
-        for name in _PREPASS_COLUMNS:
-            columns.append((name, "q",
-                            array("q", getattr(prepass, name)).tobytes()))
+        from repro.cpu.prepass import COLUMNS
+
+        columns = [(name, "q", getattr(prepass, name).tobytes())
+                   for name in COLUMNS]
         header = {
             "kind": "prepass",
             "fingerprint": code_fingerprint("prepass"),
@@ -638,6 +647,7 @@ class ArtifactStore:
             # Float ratios survive the JSON header exactly: repr is the
             # shortest round-tripping form, so load == build bitwise.
             "miss_summary": prepass.miss_summary,
+            "secure_stats": prepass.secure_stats,
         }
         path = self._path("prepass", self.prepass_name(
             benchmark, trace_length, seed, config, warmup))

@@ -49,158 +49,6 @@ class ProtectedFetch:
         return self.verify_time - self.data_time
 
 
-def _make_fetch_line(engine):
-    """Build the flattened counter-mode fetch path for ``engine``.
-
-    Mirrors :meth:`SecureMemoryEngine.fetch_line` exactly for the common
-    configuration (counter mode, no address obfuscation, stats attached),
-    with the counter-cache probe, memory controller, SDRAM bank/bus
-    timing and decryption-overlap logic inlined into one closure -- the
-    per-L2-miss cost drops from a five-deep call chain with three
-    intermediate result objects to straight-line arithmetic.  Returns
-    ``None`` when the configuration needs the general path; delegates to
-    the bound method whenever a tracer is enabled (the inline path emits
-    no events).  The golden parity suite (``tests/perf``) pins the
-    equivalence.
-    """
-    if engine.config.encryption_mode == "cbc" or engine.obfuscator is not None:
-        return None
-    if engine.stats is None:
-        return None
-    layout = engine.layout
-    if engine.config.split_counters:
-        counter_div = 4096
-        counter_step = layout.line_bytes
-    else:
-        counter_div = layout.line_bytes
-        counter_step = layout.counter_bytes
-    counter_base = layout.counter_base
-    meta_bytes = layout.line_bytes
-    # Counter-cache probe (inline Cache.hit_line over the tag dicts).
-    cc = engine.counter_cache._cache
-    cc_sets = cc._sets
-    cc_num_sets = cc.num_sets
-    cc_line_bytes = cc.line_bytes
-    cc_hits = cc._hits
-    cc_fill = cc.fill
-    predict = engine._predict
-    # Memory controller + SDRAM + bus (inline fetch_line/access/reserve).
-    controller = engine.controller
-    fetch_metadata = controller.fetch_metadata
-    dram = controller.dram
-    dram_cfg = dram.config
-    banks = dram._banks
-    num_banks = dram_cfg.num_banks
-    interleave = dram_cfg.interleave_bytes
-    row_div = num_banks * dram_cfg.row_bytes
-    cas = dram_cfg.cas_cycles
-    rcd_cas = dram_cfg.rcd_cycles + cas
-    rp_rcd_cas = dram_cfg.rp_cycles + rcd_cas
-    dram_hits = dram._hits
-    dram_empties = dram._empties
-    dram_conflicts = dram._conflicts
-    dram_accesses = dram._accesses
-    bus = dram.bus
-    bus_busy = bus._busy
-    bus_transfers = bus._transfers
-    bus_wait = bus._wait
-    # Transfer size is fixed per engine (line + MAC rider), so the bus
-    # occupancy is a captured constant.
-    total_bytes = controller.line_bytes + controller.mac_rider_bytes
-    duration = -(-total_bytes // bus.width_bytes) * bus.cycles_per_beat
-    ctl_reads = controller._reads
-    read_lat_buckets = controller._read_latency.buckets
-    # Decryption overlap (inline DecryptionEngine.data_ready).
-    decrypt = engine.decrypt
-    decrypt_latency = decrypt.decrypt_latency
-    xor_latency = decrypt.xor_latency
-    pad_hidden = decrypt._hidden
-    pad_exposed = decrypt._exposed
-    auth_enabled = engine.authentication_enabled
-    hash_tree = engine.hash_tree
-    aq_enqueue = engine.auth_queue.enqueue
-    gap_buckets = engine._gap_hist.buckets
-    slow = SecureMemoryEngine.fetch_line.__get__(engine)
-
-    def fetch_line(addr, cycle, gate_time=0):
-        tracer = engine.tracer
-        if tracer is not None and tracer.enabled:
-            return slow(addr, cycle, gate_time=gate_time)
-        issue = cycle if cycle > gate_time else gate_time
-        # ---- counter-mode pad start (counter cache / prediction) -----
-        caddr = counter_base + (addr // counter_div) * counter_step
-        cline = caddr // cc_line_bytes
-        cset = cc_sets[cline % cc_num_sets]
-        ctag = cline // cc_num_sets
-        centry = cset.get(ctag)
-        if centry is not None:
-            cc_hits.value += 1
-            del cset[ctag]
-            cset[ctag] = centry
-            pad_start = issue
-        else:
-            cc_fill(caddr)
-            if predict():
-                pad_start = issue
-            else:
-                pad_start = fetch_metadata(
-                    caddr, issue, meta_bytes, kind="counter").done_cycle
-        # ---- SDRAM access + bus transfer -----------------------------
-        bank = banks[(addr // interleave) % num_banks]
-        row = addr // row_div
-        open_row = bank.open_row
-        dram_accesses.value += 1
-        ready_at = bank.ready_at
-        start = issue if issue > ready_at else ready_at
-        if open_row == row:
-            dram_hits.value += 1
-            data_ready = start + cas
-        elif open_row is None:
-            dram_empties.value += 1
-            data_ready = start + rcd_cas
-        else:
-            dram_conflicts.value += 1
-            data_ready = start + rp_rcd_cas
-        free_at = bus.free_at
-        bstart = data_ready if data_ready > free_at else free_at
-        done = bstart + duration
-        bus.free_at = done
-        bus_busy.value += duration
-        bus_transfers.value += 1
-        bus_wait.value += bstart - data_ready
-        bank.open_row = row
-        bank.ready_at = done
-        ctl_reads.value += 1
-        lat = done - issue
-        read_lat_buckets[lat] = read_lat_buckets.get(lat, 0) + 1
-        # ---- decrypt overlap -----------------------------------------
-        pad_done = pad_start + decrypt_latency
-        if pad_done <= done:
-            pad_hidden.value += 1
-            data_time = done + xor_latency
-        else:
-            pad_exposed.value += pad_done - done
-            data_time = pad_done + xor_latency
-        if not auth_enabled:
-            return ProtectedFetch(addr, -1, data_time, data_time, done)
-        # ---- verification --------------------------------------------
-        verify_ready = done
-        extra = 0
-        if hash_tree is not None:
-            nodes_ready, extra = hash_tree.verification_extra(
-                addr, verify_ready, controller)
-            if nodes_ready > verify_ready:
-                verify_ready = nodes_ready
-        tag, verify_time = aq_enqueue(verify_ready, extra, fetch_time=done)
-        gap = verify_time - data_time
-        if gap < 0:
-            gap = 0
-        gap_buckets[gap] = gap_buckets.get(gap, 0) + 1
-        return ProtectedFetch(addr, tag, data_time, verify_time, done)
-
-    return fetch_line
-
-
 class SecureMemoryEngine:
     """Timing model of the secure processor's memory crypto engine."""
 
@@ -273,11 +121,6 @@ class SecureMemoryEngine:
         else:
             self._gap_hist = None
             self._reencrypts = None
-        #: Flattened fetch path (see :func:`_make_fetch_line`); shadows
-        #: the bound method when the configuration allows it.
-        fast = _make_fetch_line(self)
-        if fast is not None:
-            self.fetch_line = fast
 
     def _counter_addr(self, addr):
         """Counter location for the line containing ``addr``.

@@ -166,6 +166,13 @@ class HashTreeTiming:
                 break
             depth += 1
             if self.backing_cache is not None:
+                # Known model deviation: on a miss this installs the
+                # node in the L2 and ignores ``backing.victim_dirty``,
+                # so a dirty data line it evicts is never written back
+                # (no DRAM write, no counter bump; the L2 still counts
+                # the writeback).  The structural prepass mirrors it;
+                # a fix moves Figure 12 and is its own model change
+                # (docs/architecture.md).
                 backing = self.backing_cache.access(node_addr)
                 if backing.hit:
                     # A verified node resident in the unified L2 ends the

@@ -36,7 +36,7 @@ from repro.sim.runner import build_simulator
 
 BENCHMARKS = ("gzip", "mcf")
 POLICIES = ("decrypt-only", "authen-then-commit", "authen-then-issue",
-            "commit+obfuscation")   # last one: legacy-fallback member
+            "commit+obfuscation")   # last one: its own prepass variant
 N, W = 800, 400
 
 GROUPS = build_job_groups(BENCHMARKS, POLICIES,
@@ -47,6 +47,9 @@ CONFIGS = {
     "base": SimConfig(),
     "hash-tree": SimConfig().with_secure(hash_tree_enabled=True),
     "obfuscation": SimConfig().with_secure(obfuscation_enabled=True),
+    "tree+obfuscation": SimConfig().with_secure(
+        hash_tree_enabled=True, obfuscation_enabled=True,
+        remap_cache_bytes=1024, remap_shuffle_period=2),
 }
 
 
@@ -113,6 +116,28 @@ class TestGroupedExecutionParity:
             legacy = by_id[member.job_id]
             assert result.cycles == legacy.cycles
             assert result.stats.as_dict() == legacy.stats.as_dict()
+
+    def test_unit_walks_one_prepass_per_variant(self, tmp_path):
+        """Under a hash tree, decrypt-only replays a tree-free walk,
+        an authenticating policy the tree walk and commit+obfuscation
+        the tree-plus-re-map walk: three prepasses, each stored under
+        its own key, every member on the kernel and equal to the
+        oracle."""
+        policies = ("decrypt-only", "authen-then-commit",
+                    "authen-then-issue", "commit+obfuscation")
+        group = MultiPolicySimJob("mcf", policies,
+                                  config=CONFIGS["hash-tree"],
+                                  num_instructions=N, warmup=W)
+        store = ArtifactStore(tmp_path / "store")
+        with using_store(store):
+            results = SerialExecutor(cache=TraceCache()).run([group])
+        kernel = native.native_available()
+        entries = store.stats()["tiers"]["prepass"]["entries"]
+        assert entries == (3 if kernel else 0)
+        for member, result in results.items():
+            assert result_digest(result) == result_digest(oracle(member))
+            assert result.accounting["model"] == (
+                "kernel" if kernel else "no_kernel")
 
     def test_member_outcomes_recorded_individually(self):
         executor = SerialExecutor()
@@ -224,13 +249,16 @@ class TestUnitOfOne:
 
     @pytest.mark.parametrize("config_name,policy,native_off,traced,model", [
         ("base", "authen-then-commit", False, False, None),
-        ("hash-tree", "authen-then-commit", False, False, "hash_tree"),
-        ("base", "commit+obfuscation", False, False,
-         "obfuscating_policy"),
+        ("hash-tree", "authen-then-commit", False, False, None),
+        ("base", "commit+obfuscation", False, False, None),
+        ("obfuscation", "authen-then-commit", False, False, None),
+        ("tree+obfuscation", "commit+obfuscation", False, False, None),
+        ("tree+obfuscation", "decrypt-only", True, False, "no_kernel"),
         ("base", "authen-then-commit", True, False, "no_kernel"),
         ("base", "authen-then-commit", False, True, "traced"),
-    ], ids=["kernel", "hash-tree", "commit+obfuscation", "REPRO_NATIVE=0",
-            "traced"])
+    ], ids=["kernel", "hash-tree", "commit+obfuscation", "obfuscation",
+            "tree+obfuscation", "tree+obfuscation-REPRO_NATIVE=0",
+            "REPRO_NATIVE=0", "traced"])
     def test_accounting_names_the_model(self, monkeypatch, config_name,
                                         policy, native_off, traced,
                                         model):

@@ -92,7 +92,8 @@ class TestPrepassRoundTrip:
         loaded = store.load_prepass("gzip", len(trace), config.seed,
                                     config, WARMUP, trace.packed())
         assert loaded is not None
-        from repro.exec.store import _PREPASS_COLUMNS, _PREPASS_SCALARS
+        from repro.cpu.prepass import COLUMNS as _PREPASS_COLUMNS
+        from repro.exec.store import _PREPASS_SCALARS
 
         for name in _PREPASS_COLUMNS:
             assert list(getattr(loaded, name)) == \
@@ -102,6 +103,47 @@ class TestPrepassRoundTrip:
             assert getattr(loaded, name) == getattr(built, name), name
         assert loaded.miss_summary == built.miss_summary
         assert loaded.packed is trace.packed()
+
+    def test_structural_variants_distinct_and_round_trip(self, store):
+        """One unit's plain, tree and obfuscated prepasses (Figure 12's
+        decrypt-only, authenticating and commit+obfuscation members)
+        are stored under distinct names, and each loads back with every
+        column -- the tree and re-map ones included -- bit-identical."""
+        from repro.cpu.prepass import structural_variant
+        from repro.cpu.prepass import COLUMNS as _PREPASS_COLUMNS
+        from repro.exec.store import _PREPASS_SCALARS
+        from repro.policies import make_policy
+
+        config = SimConfig().with_secure(hash_tree_enabled=True,
+                                         remap_cache_bytes=1024,
+                                         remap_shuffle_period=2)
+        trace = _trace(benchmark="mcf", total=N + WARMUP, seed=config.seed)
+        variants = [structural_variant(config, make_policy(name))
+                    for name in ("decrypt-only", "authen-then-commit",
+                                 "commit+obfuscation")]
+        names = {store.prepass_name("mcf", len(trace), config.seed,
+                                    variant, WARMUP)
+                 for variant in variants}
+        assert len(names) == 3
+        for variant in variants:
+            built = build_prepass(trace, variant, warmup=WARMUP)
+            assert store.save_prepass(built, "mcf", len(trace),
+                                      config.seed, variant, WARMUP)
+            loaded = store.load_prepass("mcf", len(trace), config.seed,
+                                        variant, WARMUP, trace.packed())
+            assert loaded is not None
+            for name in _PREPASS_COLUMNS:
+                assert list(getattr(loaded, name)) == \
+                    list(getattr(built, name)), name
+            for name in _PREPASS_SCALARS:
+                assert getattr(loaded, name) == getattr(built, name), name
+            assert loaded.secure_stats == built.secure_stats
+            assert loaded.miss_summary == built.miss_summary
+        tree, remap = built.secure_stats, variants[2].secure
+        assert remap.obfuscation_enabled and remap.hash_tree_enabled
+        assert tree["tree_node_fetches"] and tree["remap_entry_fetches"]
+        assert any(built.m_depth) and any(built.m_remap)
+        assert store.stats()["tiers"]["prepass"]["entries"] == 3
 
     @pytest.mark.skipif(not native.native_available(),
                         reason="no C compiler / native kernel disabled")
@@ -120,6 +162,34 @@ class TestPrepassRoundTrip:
         want = replay_policy(built, policy, config)
         got = replay_policy(loaded, make_policy("authen-then-commit"),
                             config)
+        assert got.cycles == want.cycles
+        assert got.stats.as_dict() == want.stats.as_dict()
+
+
+    @pytest.mark.skipif(not native.native_available(),
+                        reason="no C compiler / native kernel disabled")
+    def test_replay_reads_store_views_in_place(self, store):
+        """A store-loaded trace and prepass feed the kernel their int64
+        views directly and replay bit-identically to the built ones."""
+        from repro.cpu.prepass import structural_variant
+        from repro.cpu.shared_kernel import replay_policy
+        from repro.policies import make_policy
+
+        config = SimConfig().with_secure(hash_tree_enabled=True)
+        policy = make_policy("commit+obfuscation")
+        variant = structural_variant(config, policy)
+        trace = _trace(benchmark="mcf", total=N + WARMUP, seed=config.seed)
+        store.save_trace(trace, "mcf", len(trace), config.seed)
+        loaded_trace = store.load_trace("mcf", len(trace), config.seed)
+        built = build_prepass(trace, variant, warmup=WARMUP)
+        store.save_prepass(built, "mcf", len(trace), config.seed, variant,
+                           WARMUP)
+        loaded = store.load_prepass("mcf", len(trace), config.seed,
+                                    variant, WARMUP, loaded_trace.packed())
+        columns = native.trace_columns(loaded_trace.packed())
+        assert isinstance(columns[0], memoryview)
+        want = replay_policy(built, policy, config)
+        got = replay_policy(loaded, policy, config, columns=columns)
         assert got.cycles == want.cycles
         assert got.stats.as_dict() == want.stats.as_dict()
 
